@@ -2,18 +2,6 @@
 
 namespace clara {
 
-int BitWidth(Type t) {
-  switch (t) {
-    case Type::kVoid: return 0;
-    case Type::kI1: return 1;
-    case Type::kI8: return 8;
-    case Type::kI16: return 16;
-    case Type::kI32: return 32;
-    case Type::kI64: return 64;
-  }
-  return 0;
-}
-
 const char* TypeName(Type t) {
   switch (t) {
     case Type::kVoid: return "void";
@@ -174,6 +162,7 @@ uint32_t Module::InternApi(const std::string& name, uint8_t num_args, Type resul
 }
 
 void InstallStandardPacketFields(Module& m) {
+  // In PacketField order.
   m.packet_fields = {
       {"eth.type", Type::kI16, 12},
       {"ip.ihl", Type::kI8, 14},

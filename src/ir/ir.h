@@ -27,7 +27,16 @@ namespace clara {
 
 enum class Type : uint8_t { kVoid, kI1, kI8, kI16, kI32, kI64 };
 
-int BitWidth(Type t);
+inline int BitWidth(Type t) {
+  constexpr int kBits[] = {0, 1, 8, 16, 32, 64};
+  return kBits[static_cast<uint8_t>(t)];
+}
+
+// The bits a value of type `t` keeps (kVoid keeps none).
+inline uint64_t TypeMask(Type t) {
+  constexpr uint64_t kMasks[] = {0, 1, 0xff, 0xffff, 0xffffffffULL, ~0ULL};
+  return kMasks[static_cast<uint8_t>(t)];
+}
 const char* TypeName(Type t);
 
 enum class Opcode : uint8_t {
@@ -175,6 +184,13 @@ struct Module {
 // Installs the canonical packet-field table (eth/ip/tcp/udp fields + payload
 // bytes) into `m`. All lowered NF programs share this layout.
 void InstallStandardPacketFields(Module& m);
+
+// Indices into that table, in its order.
+enum class PacketField : uint8_t {
+  kEthType, kIpIhl, kIpTos, kIpLen, kIpTtl, kIpProto, kIpCsum, kIpSrc, kIpDst,
+  kTcpSport, kTcpDport, kTcpSeq, kTcpAck, kTcpOff, kTcpFlags, kTcpCsum,
+  kPktLen, kPktPayloadLen, kPktInPort, kPktTs, kPktPayload,
+};
 
 }  // namespace clara
 

@@ -50,6 +50,12 @@ struct Expr {
   Opcode op = Opcode::kAdd;
   std::string callee;
   std::vector<ExprPtr> args;
+
+  // Filled by lowering: the IR index this node names — its stack slot
+  // (kLocal), state variable (kStateScalar, kStateArray), packet field
+  // (kPacketField) or framework API (kCall, an index into Module::apis).
+  // The interpreter runs on these instead of the names.
+  int sym = -1;
 };
 
 enum class StmtKind : uint8_t {
@@ -95,6 +101,14 @@ struct Stmt {
   int block_latch = -1;
   int block_hit = -1;
   int block_miss = -1;
+
+  // Filled by lowering, like Expr::sym: the stack slot written (kDecl,
+  // kAssignLocal, the kFor loop variable), the state variable (kAssignState,
+  // kAssignStateArr, map operations), the packet field (kAssignPacket) or the
+  // framework API (kApiCall, kSend, kDrop).
+  int sym = -1;
+  std::vector<int> out_slots;  // kMapFind: the stack slots of `outs`
+  int found_slot = -1;         // kMapFind: the stack slot of `found_local`
 };
 
 // Map implementation selected for lowering + interpretation (paper §3.3).

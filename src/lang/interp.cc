@@ -1,27 +1,14 @@
 #include "src/lang/interp.h"
 
 #include <cassert>
+#include <string_view>
+#include <utility>
 
 #include "src/nf/checksum.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 
 namespace clara {
-namespace {
-
-uint64_t Mask(uint64_t v, Type t) {
-  switch (t) {
-    case Type::kVoid: return 0;
-    case Type::kI1: return v & 1;
-    case Type::kI8: return v & 0xff;
-    case Type::kI16: return v & 0xffff;
-    case Type::kI32: return v & 0xffffffffULL;
-    case Type::kI64: return v;
-  }
-  return v;
-}
-
-}  // namespace
 
 SimMap::SimMap(const StateDecl& decl)
     : nkeys_(decl.key_fields.size()),
@@ -162,9 +149,35 @@ NfInstance::NfInstance(Program program, uint64_t seed)
   }
   module_ = std::move(lr.module);
   ok_ = true;
-  locals_.assign(module_.functions[0].slots.size(), 0);
-  arrays_.resize(program_.state.size());
-  maps_.resize(program_.state.size());
+  for (const StackSlot& slot : module_.functions[0].slots) {
+    slot_masks_.push_back(TypeMask(slot.type));
+  }
+  locals_.assign(slot_masks_.size(), 0);
+  size_t nvars = program_.state.size();
+  arrays_.resize(nvars);
+  maps_.resize(nvars);
+  map_keys_.resize(nvars);
+  map_values_.resize(nvars);
+  for (size_t i = 0; i < nvars; ++i) {
+    map_keys_[i].resize(program_.state[i].key_fields.size());
+    map_values_[i].resize(program_.state[i].value_fields.size());
+  }
+  static constexpr std::pair<std::string_view, ApiKind> kKinds[] = {
+      {"checksum_update", ApiKind::kChecksum}, {"csum_hw", ApiKind::kChecksum},
+      {"send", ApiKind::kSend},                {"drop", ApiKind::kDrop},
+      {"crc_hash_hw", ApiKind::kCrcHash},      {"crc32_hw", ApiKind::kCrc32},
+      {"lpm_hw", ApiKind::kLpm},               {"flow_cache_get", ApiKind::kFlowCacheGet},
+      {"flow_cache_put", ApiKind::kFlowCachePut}, {"rand", ApiKind::kRand},
+  };
+  for (const ApiInfo& info : module_.apis) {
+    Api api;
+    for (const auto& [name, kind] : kKinds) {
+      if (info.name == name) {
+        api.kind = kind;
+      }
+    }
+    apis_.push_back(api);
+  }
   ResetState();
   ResetProfile();
 }
@@ -198,6 +211,9 @@ void NfInstance::ResetProfile() {
   profile_.state_reads.assign(nvars, 0);
   profile_.state_writes.assign(nvars, 0);
   profile_.block_var_access.assign(nblocks, std::vector<uint64_t>(nvars, 0));
+  for (Api& api : apis_) {
+    api.calls = nullptr;
+  }
 }
 
 void NfInstance::RecordStateRead(int sym, int block, uint64_t n) {
@@ -214,115 +230,134 @@ void NfInstance::RecordStateWrite(int sym, int block, uint64_t n) {
   }
 }
 
-uint64_t NfInstance::ReadPacketField(const std::string& name) const {
+uint64_t NfInstance::LoadField(int field) const {
   const Packet& p = *pkt_;
-  if (name == "eth.type") return p.eth_type;
-  if (name == "ip.ihl") return p.ip_ihl;
-  if (name == "ip.tos") return p.ip_tos;
-  if (name == "ip.len") return p.ip_len;
-  if (name == "ip.ttl") return p.ip_ttl;
-  if (name == "ip.proto") return p.ip_proto;
-  if (name == "ip.csum") return p.ip_checksum;
-  if (name == "ip.src") return p.src_ip;
-  if (name == "ip.dst") return p.dst_ip;
-  if (name == "tcp.sport") return p.sport;
-  if (name == "tcp.dport") return p.dport;
-  if (name == "tcp.seq") return p.tcp_seq;
-  if (name == "tcp.ack") return p.tcp_ack;
-  if (name == "tcp.off") return p.tcp_off;
-  if (name == "tcp.flags") return p.tcp_flags;
-  if (name == "tcp.csum") return p.l4_checksum;
-  if (name == "pkt.len") return p.wire_len;
-  if (name == "pkt.payload_len") return p.payload_len;
-  if (name == "pkt.in_port") return p.in_port;
-  if (name == "pkt.ts") return p.ts_ns;
+  switch (static_cast<PacketField>(field)) {
+    case PacketField::kEthType: return p.eth_type;
+    case PacketField::kIpIhl: return p.ip_ihl;
+    case PacketField::kIpTos: return p.ip_tos;
+    case PacketField::kIpLen: return p.ip_len;
+    case PacketField::kIpTtl: return p.ip_ttl;
+    case PacketField::kIpProto: return p.ip_proto;
+    case PacketField::kIpCsum: return p.ip_checksum;
+    case PacketField::kIpSrc: return p.src_ip;
+    case PacketField::kIpDst: return p.dst_ip;
+    case PacketField::kTcpSport: return p.sport;
+    case PacketField::kTcpDport: return p.dport;
+    case PacketField::kTcpSeq: return p.tcp_seq;
+    case PacketField::kTcpAck: return p.tcp_ack;
+    case PacketField::kTcpOff: return p.tcp_off;
+    case PacketField::kTcpFlags: return p.tcp_flags;
+    case PacketField::kTcpCsum: return p.l4_checksum;
+    case PacketField::kPktLen: return p.wire_len;
+    case PacketField::kPktPayloadLen: return p.payload_len;
+    case PacketField::kPktInPort: return p.in_port;
+    case PacketField::kPktTs: return p.ts_ns;
+    case PacketField::kPktPayload: return 0;  // only payload[i] reads bytes
+  }
   return 0;
 }
 
-void NfInstance::WritePacketField(const std::string& name, uint64_t v) {
+void NfInstance::StoreField(int field, uint64_t v) {
   Packet& p = *pkt_;
-  if (name == "eth.type") { p.eth_type = static_cast<uint16_t>(v); return; }
-  if (name == "ip.ihl") { p.ip_ihl = static_cast<uint8_t>(v); return; }
-  if (name == "ip.tos") { p.ip_tos = static_cast<uint8_t>(v); return; }
-  if (name == "ip.len") { p.ip_len = static_cast<uint16_t>(v); return; }
-  if (name == "ip.ttl") { p.ip_ttl = static_cast<uint8_t>(v); return; }
-  if (name == "ip.proto") { p.ip_proto = static_cast<uint8_t>(v); return; }
-  if (name == "ip.csum") { p.ip_checksum = static_cast<uint16_t>(v); return; }
-  if (name == "ip.src") { p.src_ip = static_cast<uint32_t>(v); return; }
-  if (name == "ip.dst") { p.dst_ip = static_cast<uint32_t>(v); return; }
-  if (name == "tcp.sport") { p.sport = static_cast<uint16_t>(v); return; }
-  if (name == "tcp.dport") { p.dport = static_cast<uint16_t>(v); return; }
-  if (name == "tcp.seq") { p.tcp_seq = static_cast<uint32_t>(v); return; }
-  if (name == "tcp.ack") { p.tcp_ack = static_cast<uint32_t>(v); return; }
-  if (name == "tcp.off") { p.tcp_off = static_cast<uint8_t>(v); return; }
-  if (name == "tcp.flags") { p.tcp_flags = static_cast<uint8_t>(v); return; }
-  if (name == "tcp.csum") { p.l4_checksum = static_cast<uint16_t>(v); return; }
-  if (name == "pkt.in_port") { p.in_port = static_cast<uint16_t>(v); return; }
+  switch (static_cast<PacketField>(field)) {
+    case PacketField::kEthType: p.eth_type = static_cast<uint16_t>(v); return;
+    case PacketField::kIpIhl: p.ip_ihl = static_cast<uint8_t>(v); return;
+    case PacketField::kIpTos: p.ip_tos = static_cast<uint8_t>(v); return;
+    case PacketField::kIpLen: p.ip_len = static_cast<uint16_t>(v); return;
+    case PacketField::kIpTtl: p.ip_ttl = static_cast<uint8_t>(v); return;
+    case PacketField::kIpProto: p.ip_proto = static_cast<uint8_t>(v); return;
+    case PacketField::kIpCsum: p.ip_checksum = static_cast<uint16_t>(v); return;
+    case PacketField::kIpSrc: p.src_ip = static_cast<uint32_t>(v); return;
+    case PacketField::kIpDst: p.dst_ip = static_cast<uint32_t>(v); return;
+    case PacketField::kTcpSport: p.sport = static_cast<uint16_t>(v); return;
+    case PacketField::kTcpDport: p.dport = static_cast<uint16_t>(v); return;
+    case PacketField::kTcpSeq: p.tcp_seq = static_cast<uint32_t>(v); return;
+    case PacketField::kTcpAck: p.tcp_ack = static_cast<uint32_t>(v); return;
+    case PacketField::kTcpOff: p.tcp_off = static_cast<uint8_t>(v); return;
+    case PacketField::kTcpFlags: p.tcp_flags = static_cast<uint8_t>(v); return;
+    case PacketField::kTcpCsum: p.l4_checksum = static_cast<uint16_t>(v); return;
+    case PacketField::kPktInPort: p.in_port = static_cast<uint16_t>(v); return;
+    case PacketField::kPktLen:
+    case PacketField::kPktPayloadLen:
+    case PacketField::kPktTs:
+    case PacketField::kPktPayload:
+      return;  // read-only metadata; payload[i] = v writes bytes
+  }
 }
 
-uint64_t NfInstance::CallApi(const std::string& name, const std::vector<uint64_t>& args,
-                             int block) {
-  ++profile_.api_calls[name];
+uint64_t NfInstance::EvalCall(int api, const std::vector<ExprPtr>& arg_exprs, int block) {
+  uint64_t args[kApiArgs] = {};
+  for (size_t i = 0; i < arg_exprs.size(); ++i) {
+    uint64_t v = EvalExpr(*arg_exprs[i], block);
+    if (i < kApiArgs) {
+      args[i] = v;
+    }
+  }
+  return CallApi(api, args, arg_exprs.size());
+}
+
+uint64_t NfInstance::CallApi(int api, const uint64_t* args, size_t nargs) {
+  Api& a = apis_[api];
+  if (a.calls == nullptr) {
+    // First call since ResetProfile: api_calls lists only the APIs that ran.
+    a.calls = &profile_.api_calls[module_.apis[api].name];
+  }
+  ++*a.calls;
   if (obs::Enabled() && obs_api_calls_ != nullptr) {
     obs_api_calls_->Add(1);
-    if (obs_drops_ != nullptr && name == "drop") {
+    if (obs_drops_ != nullptr && a.kind == ApiKind::kDrop) {
       obs_drops_->Add(1);
     }
   }
   Packet& p = *pkt_;
-  if (name == "ip_header" || name == "tcp_header" || name == "udp_header" ||
-      name == "payload") {
-    return 0;
-  }
-  if (name == "checksum_update" || name == "csum_hw") {
-    p.ip_checksum = Ipv4HeaderChecksum(p);
-    return p.ip_checksum;
-  }
-  if (name == "send") {
-    p.verdict = Packet::Verdict::kSent;
-    p.out_port = args.empty() ? 0 : static_cast<uint16_t>(args[0]);
-    ++profile_.sends;
-    return 0;
-  }
-  if (name == "drop") {
-    p.verdict = Packet::Verdict::kDropped;
-    ++profile_.drops;
-    return 0;
-  }
-  if (name == "crc_hash_hw") {
-    uint64_t key = args.empty() ? 0 : args[0];
-    uint8_t bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<uint8_t>(key >> (8 * i));
+  switch (a.kind) {
+    case ApiKind::kNoop:
+      return 0;
+    case ApiKind::kChecksum:
+      p.ip_checksum = Ipv4HeaderChecksum(p);
+      return p.ip_checksum;
+    case ApiKind::kSend:
+      p.verdict = Packet::Verdict::kSent;
+      p.out_port = nargs == 0 ? 0 : static_cast<uint16_t>(args[0]);
+      ++profile_.sends;
+      return 0;
+    case ApiKind::kDrop:
+      p.verdict = Packet::Verdict::kDropped;
+      ++profile_.drops;
+      return 0;
+    case ApiKind::kCrcHash: {
+      uint64_t key = nargs == 0 ? 0 : args[0];
+      uint8_t bytes[8];
+      for (int i = 0; i < 8; ++i) {
+        bytes[i] = static_cast<uint8_t>(key >> (8 * i));
+      }
+      return Crc32Bitwise(bytes, 8);
     }
-    return Crc32Bitwise(bytes, 8);
-  }
-  if (name == "crc32_hw") {
-    int len = p.PayloadPrefixLen();
-    if (!args.empty() && args[0] < static_cast<uint64_t>(len)) {
-      len = static_cast<int>(args[0]);
+    case ApiKind::kCrc32: {
+      int len = p.PayloadPrefixLen();
+      if (nargs > 0 && args[0] < static_cast<uint64_t>(len)) {
+        len = static_cast<int>(args[0]);
+      }
+      return Crc32Bitwise(p.payload.data(), static_cast<size_t>(len));
     }
-    return Crc32Bitwise(p.payload.data(), static_cast<size_t>(len));
-  }
-  if (name == "lpm_hw") {
-    if (lpm_accel_ != nullptr && !args.empty()) {
-      auto hop = lpm_accel_->Lookup(static_cast<uint32_t>(args[0]));
-      return hop.has_value() ? *hop + 1 : 0;
+    case ApiKind::kLpm:
+      if (lpm_accel_ != nullptr && nargs > 0) {
+        auto hop = lpm_accel_->Lookup(static_cast<uint32_t>(args[0]));
+        return hop.has_value() ? *hop + 1 : 0;
+      }
+      return 0;
+    case ApiKind::kFlowCacheGet: {
+      auto it = flow_cache_.find(nargs == 0 ? 0 : args[0]);
+      return it == flow_cache_.end() ? 0 : it->second + 1;
     }
-    return 0;
-  }
-  if (name == "flow_cache_get") {
-    auto it = flow_cache_.find(args.empty() ? 0 : args[0]);
-    return it == flow_cache_.end() ? 0 : it->second + 1;
-  }
-  if (name == "flow_cache_put") {
-    if (args.size() >= 2) {
-      flow_cache_[args[0]] = args[1];
-    }
-    return 0;
-  }
-  if (name == "rand") {
-    return rng_.NextU64() & 0xffffffffULL;
+    case ApiKind::kFlowCachePut:
+      if (nargs >= 2) {
+        flow_cache_[args[0]] = args[1];
+      }
+      return 0;
+    case ApiKind::kRand:
+      return rng_.NextU64() & 0xffffffffULL;
   }
   return 0;
 }
@@ -330,32 +365,20 @@ uint64_t NfInstance::CallApi(const std::string& name, const std::vector<uint64_t
 uint64_t NfInstance::EvalExpr(const Expr& e, int block) {
   switch (e.kind) {
     case ExprKind::kIntLit:
-      return Mask(e.value, e.type);
-    case ExprKind::kLocal: {
-      int slot = -1;
-      const auto& slots = module_.functions[0].slots;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].name == e.name) {
-          slot = static_cast<int>(i);
-          break;
-        }
-      }
-      return slot >= 0 ? locals_[slot] : 0;
-    }
-    case ExprKind::kStateScalar: {
-      int sym = module_.FindState(e.name);
-      RecordStateRead(sym, block);
-      return Mask(arrays_[sym][0], e.type);
-    }
+      return e.value & TypeMask(e.type);
+    case ExprKind::kLocal:
+      return locals_[e.sym];
+    case ExprKind::kStateScalar:
+      RecordStateRead(e.sym, block);
+      return arrays_[e.sym][0] & TypeMask(e.type);
     case ExprKind::kStateArray: {
-      int sym = module_.FindState(e.name);
       uint64_t idx = EvalExpr(*e.args[0], block);
-      RecordStateRead(sym, block);
-      const auto& arr = arrays_[sym];
-      return arr.empty() ? 0 : Mask(arr[idx % arr.size()], e.type);
+      RecordStateRead(e.sym, block);
+      const auto& arr = arrays_[e.sym];
+      return arr.empty() ? 0 : arr[idx % arr.size()] & TypeMask(e.type);
     }
     case ExprKind::kPacketField:
-      return Mask(ReadPacketField(e.name), e.type);
+      return LoadField(e.sym) & TypeMask(e.type);
     case ExprKind::kPayloadByte: {
       uint64_t idx = EvalExpr(*e.args[0], block);
       return pkt_->payload[idx % kMaxPayloadPrefix];
@@ -364,7 +387,6 @@ uint64_t NfInstance::EvalExpr(const Expr& e, int block) {
       uint64_t a = EvalExpr(*e.args[0], block);
       uint64_t b = EvalExpr(*e.args[1], block);
       uint64_t r = 0;
-      int w = BitWidth(e.type);
       switch (e.op) {
         case Opcode::kAdd: r = a + b; break;
         case Opcode::kSub: r = a - b; break;
@@ -374,10 +396,11 @@ uint64_t NfInstance::EvalExpr(const Expr& e, int block) {
         case Opcode::kAnd: r = a & b; break;
         case Opcode::kOr: r = a | b; break;
         case Opcode::kXor: r = a ^ b; break;
-        case Opcode::kShl: r = a << (b & (w - 1)); break;
-        case Opcode::kLShr: r = a >> (b & (w - 1)); break;
+        case Opcode::kShl: r = a << (b & (BitWidth(e.type) - 1)); break;
+        case Opcode::kLShr: r = a >> (b & (BitWidth(e.type) - 1)); break;
         case Opcode::kAShr: {
           // Arithmetic shift within the type width.
+          int w = BitWidth(e.type);
           uint64_t sign_bit = 1ULL << (w - 1);
           uint64_t sa = b & (w - 1);
           r = a >> sa;
@@ -388,7 +411,7 @@ uint64_t NfInstance::EvalExpr(const Expr& e, int block) {
         }
         default: r = 0; break;
       }
-      return Mask(r, e.type);
+      return r & TypeMask(e.type);
     }
     case ExprKind::kCompare: {
       uint64_t a = EvalExpr(*e.args[0], block);
@@ -404,14 +427,9 @@ uint64_t NfInstance::EvalExpr(const Expr& e, int block) {
       }
     }
     case ExprKind::kCast:
-      return Mask(EvalExpr(*e.args[0], block), e.type);
-    case ExprKind::kCall: {
-      std::vector<uint64_t> args;
-      for (const auto& a : e.args) {
-        args.push_back(EvalExpr(*a, block));
-      }
-      return Mask(CallApi(e.callee, args, block), e.type);
-    }
+      return EvalExpr(*e.args[0], block) & TypeMask(e.type);
+    case ExprKind::kCall:
+      return EvalCall(e.sym, e.args, block) & TypeMask(e.type);
   }
   return 0;
 }
@@ -446,8 +464,17 @@ void NfInstance::AttributeMapOp(const Stmt& s, const SimMap::OpResult& r, size_t
   }
 }
 
-NfInstance::Flow NfInstance::ExecBody(std::vector<StmtPtr>& body) {
-  for (auto& s : body) {
+std::vector<uint64_t>& NfInstance::EvalKeys(const Stmt& s) {
+  const StateDecl& d = program_.state[s.sym];
+  std::vector<uint64_t>& keys = map_keys_[s.sym];
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = EvalExpr(*s.args[i], s.block) & TypeMask(d.key_fields[i]);
+  }
+  return keys;
+}
+
+NfInstance::Flow NfInstance::ExecBody(const std::vector<StmtPtr>& body) {
+  for (const auto& s : body) {
     if (ExecStmt(*s) == Flow::kReturned) {
       return Flow::kReturned;
     }
@@ -455,46 +482,32 @@ NfInstance::Flow NfInstance::ExecBody(std::vector<StmtPtr>& body) {
   return Flow::kNormal;
 }
 
-NfInstance::Flow NfInstance::ExecStmt(Stmt& s) {
+NfInstance::Flow NfInstance::ExecStmt(const Stmt& s) {
   if (s.block_entry && s.block >= 0) {
     ++profile_.block_exec[s.block];
   }
   switch (s.kind) {
     case StmtKind::kDecl:
-    case StmtKind::kAssignLocal: {
-      uint64_t v = EvalExpr(*s.e0, s.block);
-      const auto& slots = module_.functions[0].slots;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].name == s.name) {
-          locals_[i] = Mask(v, slots[i].type);
-          break;
-        }
-      }
+    case StmtKind::kAssignLocal:
+      locals_[s.sym] = EvalExpr(*s.e0, s.block) & slot_masks_[s.sym];
       return Flow::kNormal;
-    }
-    case StmtKind::kAssignState: {
-      int sym = module_.FindState(s.name);
-      uint64_t v = EvalExpr(*s.e0, s.block);
-      arrays_[sym][0] = Mask(v, module_.state[sym].elem_type);
-      RecordStateWrite(sym, s.block);
+    case StmtKind::kAssignState:
+      arrays_[s.sym][0] = EvalExpr(*s.e0, s.block) & TypeMask(module_.state[s.sym].elem_type);
+      RecordStateWrite(s.sym, s.block);
       return Flow::kNormal;
-    }
     case StmtKind::kAssignStateArr: {
-      int sym = module_.FindState(s.name);
       uint64_t idx = EvalExpr(*s.e1, s.block);
       uint64_t v = EvalExpr(*s.e0, s.block);
-      auto& arr = arrays_[sym];
+      auto& arr = arrays_[s.sym];
       if (!arr.empty()) {
-        arr[idx % arr.size()] = Mask(v, module_.state[sym].elem_type);
+        arr[idx % arr.size()] = v & TypeMask(module_.state[s.sym].elem_type);
       }
-      RecordStateWrite(sym, s.block);
+      RecordStateWrite(s.sym, s.block);
       return Flow::kNormal;
     }
-    case StmtKind::kAssignPacket: {
-      uint64_t v = EvalExpr(*s.e0, s.block);
-      WritePacketField(s.name, v);
+    case StmtKind::kAssignPacket:
+      StoreField(s.sym, EvalExpr(*s.e0, s.block));
       return Flow::kNormal;
-    }
     case StmtKind::kAssignPayload: {
       uint64_t idx = EvalExpr(*s.e1, s.block);
       uint64_t v = EvalExpr(*s.e0, s.block);
@@ -506,23 +519,16 @@ NfInstance::Flow NfInstance::ExecStmt(Stmt& s) {
       return c != 0 ? ExecBody(s.body) : ExecBody(s.else_body);
     }
     case StmtKind::kFor: {
-      const auto& slots = module_.functions[0].slots;
-      int var = -1;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].name == s.name) {
-          var = static_cast<int>(i);
-          break;
-        }
-      }
-      uint64_t lo = EvalExpr(*s.e0, s.block);
+      constexpr uint64_t kI32 = 0xffffffffULL;  // loop variables are i32
+      uint64_t& var = locals_[s.sym];
+      var = EvalExpr(*s.e0, s.block) & kI32;
       uint64_t iters = 0;
-      locals_[var] = Mask(lo, Type::kI32);
       while (true) {
         if (s.block_cond >= 0) {
           ++profile_.block_exec[s.block_cond];
         }
         uint64_t hi = EvalExpr(*s.e1, s.block_cond);
-        if (locals_[var] >= hi) {
+        if (var >= hi) {
           break;
         }
         Flow f = ExecBody(s.body);
@@ -532,7 +538,7 @@ NfInstance::Flow NfInstance::ExecStmt(Stmt& s) {
         if (s.block_latch >= 0) {
           ++profile_.block_exec[s.block_latch];
         }
-        locals_[var] = Mask(locals_[var] + 1, Type::kI32);
+        var = (var + 1) & kI32;
         ++iters;
         if (iters > 1u << 16) {
           break;  // runaway-loop backstop (NF loops are small by construction)
@@ -541,82 +547,48 @@ NfInstance::Flow NfInstance::ExecStmt(Stmt& s) {
       return Flow::kNormal;
     }
     case StmtKind::kMapFind: {
-      int sym = module_.FindState(s.name);
-      SimMap& m = *maps_[sym];
-      const StateDecl& d = *program_.FindState(s.name);
-      std::vector<uint64_t> keys;
-      for (size_t i = 0; i < d.key_fields.size(); ++i) {
-        keys.push_back(Mask(EvalExpr(*s.args[i], s.block), d.key_fields[i]));
-      }
-      std::vector<uint64_t> values;
-      auto r = m.Find(keys, &values);
-      AttributeMapOp(s, r, keys.size(), s.outs.size(), 0, sym);
-      const auto& slots = module_.functions[0].slots;
-      auto set_local = [&](const std::string& name, uint64_t v) {
-        for (size_t i = 0; i < slots.size(); ++i) {
-          if (slots[i].name == name) {
-            locals_[i] = Mask(v, slots[i].type);
-            return;
-          }
-        }
-      };
+      std::vector<uint64_t>& keys = EvalKeys(s);
+      SimMap& m = *maps_[s.sym];
+      auto r = m.Find(keys, nullptr);
+      AttributeMapOp(s, r, keys.size(), s.outs.size(), 0, s.sym);
       if (r.found) {
-        for (size_t j = 0; j < s.outs.size(); ++j) {
-          set_local(s.outs[j], values[j]);
+        for (size_t j = 0; j < s.out_slots.size(); ++j) {
+          int slot = s.out_slots[j];
+          locals_[slot] = m.ValueAt(r.index, j) & slot_masks_[slot];
         }
       }
-      if (!s.found_local.empty()) {
-        set_local(s.found_local, r.found ? 1 : 0);
+      if (s.found_slot >= 0) {
+        locals_[s.found_slot] = (r.found ? 1 : 0) & slot_masks_[s.found_slot];
       }
       return Flow::kNormal;
     }
     case StmtKind::kMapInsert: {
-      int sym = module_.FindState(s.name);
-      SimMap& m = *maps_[sym];
-      const StateDecl& d = *program_.FindState(s.name);
-      size_t nkeys = d.key_fields.size();
-      std::vector<uint64_t> keys;
-      std::vector<uint64_t> values;
-      for (size_t i = 0; i < nkeys; ++i) {
-        keys.push_back(Mask(EvalExpr(*s.args[i], s.block), d.key_fields[i]));
+      std::vector<uint64_t>& keys = EvalKeys(s);
+      std::vector<uint64_t>& values = map_values_[s.sym];
+      const StateDecl& d = program_.state[s.sym];
+      for (size_t j = 0; j < values.size(); ++j) {
+        values[j] = EvalExpr(*s.args[keys.size() + j], s.block) & TypeMask(d.value_fields[j].type);
       }
-      for (size_t j = 0; j < d.value_fields.size(); ++j) {
-        values.push_back(Mask(EvalExpr(*s.args[nkeys + j], s.block), d.value_fields[j].type));
-      }
-      auto r = m.Insert(keys, values);
-      AttributeMapOp(s, r, nkeys, 0, nkeys + values.size(), sym);
+      auto r = maps_[s.sym]->Insert(keys, values);
+      AttributeMapOp(s, r, keys.size(), 0, keys.size() + values.size(), s.sym);
       return Flow::kNormal;
     }
     case StmtKind::kMapErase: {
-      int sym = module_.FindState(s.name);
-      SimMap& m = *maps_[sym];
-      const StateDecl& d = *program_.FindState(s.name);
-      std::vector<uint64_t> keys;
-      for (size_t i = 0; i < d.key_fields.size(); ++i) {
-        keys.push_back(Mask(EvalExpr(*s.args[i], s.block), d.key_fields[i]));
-      }
-      auto r = m.Erase(keys);
-      AttributeMapOp(s, r, keys.size(), 0, r.found ? 1 : 0, sym);
+      std::vector<uint64_t>& keys = EvalKeys(s);
+      auto r = maps_[s.sym]->Erase(keys);
+      AttributeMapOp(s, r, keys.size(), 0, r.found ? 1 : 0, s.sym);
       return Flow::kNormal;
     }
-    case StmtKind::kApiCall: {
-      std::vector<uint64_t> args;
-      for (const auto& a : s.args) {
-        args.push_back(EvalExpr(*a, s.block));
-      }
-      CallApi(s.callee, args, s.block);
+    case StmtKind::kApiCall:
+      EvalCall(s.sym, s.args, s.block);
       return Flow::kNormal;
-    }
     case StmtKind::kSend: {
-      std::vector<uint64_t> args;
-      if (s.e0) {
-        args.push_back(EvalExpr(*s.e0, s.block));
-      }
-      CallApi("send", args, s.block);
+      uint64_t port = s.e0 ? EvalExpr(*s.e0, s.block) : 0;
+      CallApi(s.sym, &port, s.e0 ? 1 : 0);
       return Flow::kReturned;
     }
     case StmtKind::kDrop:
-      CallApi("drop", {}, s.block);
+      CallApi(s.sym, nullptr, 0);
       return Flow::kReturned;
     case StmtKind::kReturn:
       return Flow::kReturned;

@@ -6,6 +6,15 @@
 // per-IR-block execution counts, per-state-variable access frequencies, and
 // the (block x variable) access matrix used for coalescing (§4.4).
 //
+// It runs on indices, not names. Lowering records on every AST node the
+// stack slot, state variable, packet field or framework API it names (see
+// Expr::sym, Stmt::sym), and the constructor maps each module API to its
+// semantics once. Processing a packet then does no string compare, no
+// string-keyed lookup and no heap allocation, with two exceptions that track
+// state: the first call of each API after ResetProfile creates that API's
+// api_calls entry, and the flow-cache accelerator's table grows with the
+// flows it caches.
+//
 // The interpreter's map semantics (SimMap) implement exactly the probe loops
 // the lowering expands (src/lang/lower.cc), so execution counts attach to IR
 // blocks with symmetric control flow — the reverse-porting fidelity property
@@ -128,18 +137,34 @@ class NfInstance {
  private:
   enum class Flow { kNormal, kReturned };
 
+  // Framework API semantics; unknown APIs do nothing and return 0.
+  enum class ApiKind : uint8_t {
+    kNoop, kChecksum, kSend, kDrop, kCrcHash, kCrc32, kLpm, kFlowCacheGet, kFlowCachePut,
+    kRand,
+  };
+  struct Api {
+    ApiKind kind = ApiKind::kNoop;
+    uint64_t* calls = nullptr;  // its profile_.api_calls entry, once it exists
+  };
+  // No framework API reads more arguments than this; extra ones are still
+  // evaluated.
+  static constexpr size_t kApiArgs = 2;
+
   uint64_t EvalExpr(const Expr& e, int block);
-  Flow ExecStmt(Stmt& s);
-  Flow ExecBody(std::vector<StmtPtr>& body);
-  uint64_t CallApi(const std::string& name, const std::vector<uint64_t>& args, int block);
+  Flow ExecStmt(const Stmt& s);
+  Flow ExecBody(const std::vector<StmtPtr>& body);
+  uint64_t EvalCall(int api, const std::vector<ExprPtr>& arg_exprs, int block);
+  uint64_t CallApi(int api, const uint64_t* args, size_t nargs);
+  // Fills the map's key buffer from the statement's first key expressions.
+  std::vector<uint64_t>& EvalKeys(const Stmt& s);
 
   void RecordStateRead(int sym, int block, uint64_t n = 1);
   void RecordStateWrite(int sym, int block, uint64_t n = 1);
   void AttributeMapOp(const Stmt& s, const SimMap::OpResult& r, size_t nkeys,
                       size_t value_reads, size_t value_writes, int sym);
 
-  uint64_t ReadPacketField(const std::string& name) const;
-  void WritePacketField(const std::string& name, uint64_t v);
+  uint64_t LoadField(int field) const;
+  void StoreField(int field, uint64_t v);
 
   Program program_;
   Module module_;
@@ -147,8 +172,13 @@ class NfInstance {
   std::string error_;
 
   std::vector<uint64_t> locals_;               // by stack-slot index
+  std::vector<uint64_t> slot_masks_;           // by stack-slot index
   std::vector<std::vector<uint64_t>> arrays_;  // per state var (scalars: size 1)
   std::vector<std::unique_ptr<SimMap>> maps_;  // per state var (null if not map)
+  // Per map: the key and value buffers its operations pass, sized once.
+  std::vector<std::vector<uint64_t>> map_keys_;
+  std::vector<std::vector<uint64_t>> map_values_;
+  std::vector<Api> apis_;  // by Module::apis index
 
   NfProfile profile_;
   // Cached telemetry handles (lang.interp.<element>.*), resolved on first

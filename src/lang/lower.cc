@@ -140,21 +140,25 @@ class Lowerer {
     return B().Cast(wf < wt ? Opcode::kZext : Opcode::kTrunc, to, v);
   }
 
-  Value LowerExpr(const Expr& e) {
+  // Lowers `e`, recording on it the slot, state, field or API index it names.
+  Value LowerExpr(Expr& e) {
     switch (e.kind) {
       case ExprKind::kIntLit:
         return Value::Const(static_cast<int64_t>(e.value));
       case ExprKind::kLocal:
-        return B().LoadStack(Slot(e.name));
+        e.sym = static_cast<int>(Slot(e.name));
+        return B().LoadStack(static_cast<uint32_t>(e.sym));
       case ExprKind::kStateScalar:
-        return B().LoadState(static_cast<uint32_t>(B().module().FindState(e.name)), e.type);
+        e.sym = B().module().FindState(e.name);
+        return B().LoadState(static_cast<uint32_t>(e.sym), e.type);
       case ExprKind::kStateArray: {
+        e.sym = B().module().FindState(e.name);
         Value idx = LowerExpr(*e.args[0]);
-        return B().LoadState(static_cast<uint32_t>(B().module().FindState(e.name)), e.type,
-                             idx);
+        return B().LoadState(static_cast<uint32_t>(e.sym), e.type, idx);
       }
       case ExprKind::kPacketField:
-        return B().LoadPacket(static_cast<uint32_t>(B().module().FindPacketField(e.name)));
+        e.sym = B().module().FindPacketField(e.name);
+        return B().LoadPacket(static_cast<uint32_t>(e.sym));
       case ExprKind::kPayloadByte: {
         Value idx = LowerExpr(*e.args[0]);
         return B().LoadPacket(
@@ -175,18 +179,24 @@ class Lowerer {
       case ExprKind::kCast:
         return Coerce(LowerExpr(*e.args[0]), e.args[0]->type, e.type);
       case ExprKind::kCall: {
-        std::vector<Value> args;
-        for (const auto& a : e.args) {
-          args.push_back(LowerExpr(*a));
-        }
-        return B().Call(e.callee, std::move(args), e.type);
+        Value v = B().Call(e.callee, LowerArgs(e.args), e.type);
+        e.sym = B().module().FindApi(e.callee);
+        return v;
       }
     }
     return Value::Const(0);
   }
 
+  std::vector<Value> LowerArgs(const std::vector<ExprPtr>& exprs) {
+    std::vector<Value> args;
+    for (const auto& a : exprs) {
+      args.push_back(LowerExpr(*a));
+    }
+    return args;
+  }
+
   // Lowers a condition to an i1 value.
-  Value LowerCond(const Expr& e) {
+  Value LowerCond(Expr& e) {
     Value v = LowerExpr(e);
     if (e.kind == ExprKind::kCompare) {
       return v;
@@ -219,31 +229,32 @@ class Lowerer {
       case StmtKind::kDecl:
       case StmtKind::kAssignLocal: {
         uint32_t slot = Slot(s.name);
+        s.sym = static_cast<int>(slot);
         Type st = B().func().slots[slot].type;
         Value v = Coerce(LowerExpr(*s.e0), s.e0->type, st);
         B().StoreStack(slot, v);
         break;
       }
       case StmtKind::kAssignState: {
-        int sym = B().module().FindState(s.name);
-        Type st = B().module().state[sym].elem_type;
+        s.sym = B().module().FindState(s.name);
+        Type st = B().module().state[s.sym].elem_type;
         Value v = Coerce(LowerExpr(*s.e0), s.e0->type, st);
-        B().StoreState(static_cast<uint32_t>(sym), st, v);
+        B().StoreState(static_cast<uint32_t>(s.sym), st, v);
         break;
       }
       case StmtKind::kAssignStateArr: {
-        int sym = B().module().FindState(s.name);
-        Type st = B().module().state[sym].elem_type;
+        s.sym = B().module().FindState(s.name);
+        Type st = B().module().state[s.sym].elem_type;
         Value idx = LowerExpr(*s.e1);
         Value v = Coerce(LowerExpr(*s.e0), s.e0->type, st);
-        B().StoreState(static_cast<uint32_t>(sym), st, v, idx);
+        B().StoreState(static_cast<uint32_t>(s.sym), st, v, idx);
         break;
       }
       case StmtKind::kAssignPacket: {
-        int field = B().module().FindPacketField(s.name);
-        Type ft = B().module().packet_fields[field].type;
+        s.sym = B().module().FindPacketField(s.name);
+        Type ft = B().module().packet_fields[s.sym].type;
         Value v = Coerce(LowerExpr(*s.e0), s.e0->type, ft);
-        B().StorePacket(static_cast<uint32_t>(field), v);
+        B().StorePacket(static_cast<uint32_t>(s.sym), v);
         break;
       }
       case StmtKind::kAssignPayload: {
@@ -264,22 +275,20 @@ class Lowerer {
       case StmtKind::kMapErase:
         LowerMapOp(s);
         break;
-      case StmtKind::kApiCall: {
-        std::vector<Value> args;
-        for (const auto& a : s.args) {
-          args.push_back(LowerExpr(*a));
-        }
-        B().Call(s.callee, std::move(args), Type::kVoid);
+      case StmtKind::kApiCall:
+        B().Call(s.callee, LowerArgs(s.args), Type::kVoid);
+        s.sym = B().module().FindApi(s.callee);
         break;
-      }
       case StmtKind::kSend: {
         Value port = s.e0 ? LowerExpr(*s.e0) : Value::Const(0);
         B().Call("send", {port}, Type::kVoid);
+        s.sym = B().module().FindApi("send");
         B().Ret();
         break;
       }
       case StmtKind::kDrop:
         B().Call("drop", {}, Type::kVoid);
+        s.sym = B().module().FindApi("drop");
         B().Ret();
         break;
       case StmtKind::kReturn:
@@ -312,6 +321,7 @@ class Lowerer {
 
   void LowerFor(Stmt& s) {
     uint32_t var = Slot(s.name);
+    s.sym = static_cast<int>(var);
     Value lo = Coerce(LowerExpr(*s.e0), s.e0->type, Type::kI32);
     B().StoreStack(var, lo);
     uint32_t cond_b = NewBlock("for.cond");
@@ -349,6 +359,7 @@ class Lowerer {
   void LowerMapOp(Stmt& s) {
     const StateDecl& m = *p_.FindState(s.name);
     uint32_t sym = static_cast<uint32_t>(B().module().FindState(s.name));
+    s.sym = static_cast<int>(sym);
     size_t nkeys = m.key_fields.size();
     bool nic = m.impl == MapImpl::kNicFixedBucket;
     uint32_t spb = m.slots_per_bucket == 0 ? 1 : m.slots_per_bucket;
@@ -459,14 +470,17 @@ class Lowerer {
     Value hidx = B().LoadStack(t_idx);
     switch (s.kind) {
       case StmtKind::kMapFind:
+        s.out_slots.clear();
         for (size_t j = 0; j < s.outs.size(); ++j) {
           Type vt = m.value_fields[j].type;
           Value v = B().LoadState(sym, vt, hidx, ValueFieldOffset(m, j));
           uint32_t slot = Slot(s.outs[j]);
+          s.out_slots.push_back(static_cast<int>(slot));
           B().StoreStack(slot, Coerce(v, vt, B().func().slots[slot].type));
         }
-        if (!s.found_local.empty()) {
-          B().StoreStack(Slot(s.found_local), Value::Const(1));
+        s.found_slot = s.found_local.empty() ? -1 : static_cast<int>(Slot(s.found_local));
+        if (s.found_slot >= 0) {
+          B().StoreStack(static_cast<uint32_t>(s.found_slot), Value::Const(1));
         }
         break;
       case StmtKind::kMapInsert:
@@ -477,7 +491,7 @@ class Lowerer {
         }
         for (size_t j = 0; j < m.value_fields.size(); ++j) {
           Type vt = m.value_fields[j].type;
-          const Expr& ve = *s.args[nkeys + j];
+          Expr& ve = *s.args[nkeys + j];
           Value v = Coerce(LowerExpr(ve), ve.type, vt);
           B().StoreState(sym, vt, v, hidx, ValueFieldOffset(m, j));
         }
@@ -494,8 +508,8 @@ class Lowerer {
 
     // miss.
     B().SetInsertPoint(miss_b);
-    if (s.kind == StmtKind::kMapFind && !s.found_local.empty()) {
-      B().StoreStack(Slot(s.found_local), Value::Const(0));
+    if (s.kind == StmtKind::kMapFind && s.found_slot >= 0) {
+      B().StoreStack(static_cast<uint32_t>(s.found_slot), Value::Const(0));
     }
     B().Br(join_b);
 

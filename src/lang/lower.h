@@ -8,7 +8,10 @@
 // the IR control-flow-symmetric with the interpreter's execution — the
 // "reverse porting" property of paper §3.3. The lowering records, on each
 // AST statement, which IR blocks it produced (entry/cond/body/echk/latch/
-// hit/miss) so the interpreter can attribute per-block execution counts.
+// hit/miss) so the interpreter can attribute per-block execution counts,
+// and on each statement and expression the IR index it names (Expr::sym,
+// Stmt::sym: stack slot, state variable, packet field or API), so the
+// interpreter never looks a name up while it runs.
 #ifndef SRC_LANG_LOWER_H_
 #define SRC_LANG_LOWER_H_
 
@@ -36,7 +39,7 @@ struct LowerResult {
 //   block_miss  — map miss continuation
 //
 // Type-checks `p` first; lowering mutates the AST (expression types, block
-// annotations).
+// and index annotations).
 LowerResult LowerProgram(Program& p);
 
 // Maximum hash-map key fields supported by the probe expansion.

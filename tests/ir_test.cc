@@ -59,6 +59,17 @@ Module MakeTinyModule() {
   return m;
 }
 
+TEST(IrModule, PacketFieldEnumIndexesStandardTable) {
+  Module m;
+  InstallStandardPacketFields(m);
+  ASSERT_EQ(m.packet_fields.size(), static_cast<size_t>(PacketField::kPktPayload) + 1);
+  EXPECT_EQ(m.FindPacketField("eth.type"), static_cast<int>(PacketField::kEthType));
+  EXPECT_EQ(m.FindPacketField("ip.dst"), static_cast<int>(PacketField::kIpDst));
+  EXPECT_EQ(m.FindPacketField("tcp.csum"), static_cast<int>(PacketField::kTcpCsum));
+  EXPECT_EQ(m.FindPacketField("pkt.ts"), static_cast<int>(PacketField::kPktTs));
+  EXPECT_EQ(m.FindPacketField("pkt.payload"), static_cast<int>(PacketField::kPktPayload));
+}
+
 TEST(IrBuilder, AssignsDistinctRegisters) {
   Module m = MakeTinyModule();
   const Function& f = m.functions[0];
