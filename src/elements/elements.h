@@ -9,6 +9,7 @@
 #define SRC_ELEMENTS_ELEMENTS_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,7 +71,12 @@ struct ElementInfo {
 
 const std::vector<ElementInfo>& ElementRegistry();
 
-// Builds the element by registry name; aborts on unknown names.
+// Builds the element by registry name, or returns nullopt if no element has
+// that name.
+std::optional<Program> FindElementByName(const std::string& name);
+
+// FindElementByName for names taken from the registry itself (tests,
+// benches); an unknown name throws std::bad_optional_access.
 Program MakeElementByName(const std::string& name);
 
 }  // namespace clara

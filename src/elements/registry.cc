@@ -1,6 +1,3 @@
-#include <cstdio>
-#include <cstdlib>
-
 #include "src/elements/elements.h"
 
 namespace clara {
@@ -54,14 +51,17 @@ const std::vector<ElementInfo>& ElementRegistry() {
   return kRegistry;
 }
 
-Program MakeElementByName(const std::string& name) {
+std::optional<Program> FindElementByName(const std::string& name) {
   for (const auto& e : ElementRegistry()) {
     if (e.name == name) {
       return e.make();
     }
   }
-  std::fprintf(stderr, "unknown element: %s\n", name.c_str());
-  std::abort();
+  return std::nullopt;
+}
+
+Program MakeElementByName(const std::string& name) {
+  return FindElementByName(name).value();
 }
 
 }  // namespace clara

@@ -4,11 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/elements/elements.h"
 #include "src/lang/check.h"
-#include "src/lang/interp.h"
+#include "src/lang/lower.h"
 #include "src/lang/parse.h"
 #include "src/lang/printer.h"
 #include "src/ml/kernels_f32.h"
@@ -445,7 +446,7 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   struct Slot {
     Pending* pending = nullptr;
     Program program;
-    std::unique_ptr<NfInstance> lowered;
+    Module module;
     NfPrediction prediction;
     uint64_t program_hash = 0;
     uint64_t workload_hash = 0;
@@ -489,19 +490,13 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
       }
       slot.program = std::move(parsed.program);
     } else {
-      const ElementInfo* info = nullptr;
-      for (const auto& e : ElementRegistry()) {
-        if (e.name == p.req.element) {
-          info = &e;
-          break;
-        }
-      }
-      if (info == nullptr) {
+      std::optional<Program> element = FindElementByName(p.req.element);
+      if (!element) {
         Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kUnknownElement,
                                  "element '" + p.req.element + "' not in registry"));
         continue;
       }
-      slot.program = info->make();
+      slot.program = std::move(*element);
     }
     parse_span.end = Clock::now();
     p.spans.push_back(parse_span);
@@ -541,12 +536,16 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
       continue;
     }
 
-    slot.lowered = std::make_unique<NfInstance>(CloneProgram(slot.program));
-    if (!slot.lowered->ok()) {
+    // Inference needs only the IR; Analyze lowers its own copy again to
+    // profile it.
+    Program clone = CloneProgram(slot.program);
+    LowerResult lowered = LowerProgram(clone);
+    if (!lowered.ok) {
       Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
-                               "lowering failed: " + slot.lowered->error()));
+                               "lowering failed: " + lowered.error));
       continue;
     }
+    slot.module = std::move(lowered.module);
     live.push_back(std::move(slot));
   }
   if (live.empty()) {
@@ -557,7 +556,7 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   // the whole batch, mirroring InstructionPredictor::PredictNf per slot.
   std::vector<std::pair<size_t, size_t>> pairs;
   for (size_t s = 0; s < live.size(); ++s) {
-    const Module& m = live[s].lowered->module();
+    const Module& m = live[s].module;
     size_t blocks = m.functions.at(0).blocks.size();
     for (size_t b = 0; b < blocks; ++b) {
       pairs.emplace_back(s, b);
@@ -567,7 +566,7 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   Clock::time_point infer_start = Clock::now();
   std::vector<BlockPrediction> block_preds = ParallelMap<BlockPrediction>(pairs.size(), [&](size_t i) {
     const auto& [s, b] = pairs[i];
-    const Module& m = live[s].lowered->module();
+    const Module& m = live[s].module;
     return predictor.PredictBlock(m, m.functions.at(0).blocks[b]);
   });
   Clock::time_point infer_end = Clock::now();

@@ -37,6 +37,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,10 +123,22 @@ int CmdList() {
   return 0;
 }
 
+// Builds the named registry element, or reports the name and returns nullopt.
+std::optional<Program> LoadElement(const std::string& name) {
+  std::optional<Program> p = FindElementByName(name);
+  if (!p) {
+    std::fprintf(stderr, "unknown element '%s'\n", name.c_str());
+  }
+  return p;
+}
+
 int CmdShow(const std::string& name) {
-  Program p = MakeElementByName(name);
-  std::printf("%s\n", ToSource(p).c_str());
-  LowerResult lr = LowerProgram(p);
+  std::optional<Program> p = LoadElement(name);
+  if (!p) {
+    return 2;
+  }
+  std::printf("%s\n", ToSource(*p).c_str());
+  LowerResult lr = LowerProgram(*p);
   if (!lr.ok) {
     std::fprintf(stderr, "lowering failed: %s\n", lr.error.c_str());
     return 1;
@@ -140,8 +153,11 @@ int CmdShow(const std::string& name) {
 }
 
 int CmdIr(const std::string& name) {
-  Program p = MakeElementByName(name);
-  LowerResult lr = LowerProgram(p);
+  std::optional<Program> p = LoadElement(name);
+  if (!p) {
+    return 2;
+  }
+  LowerResult lr = LowerProgram(*p);
   if (!lr.ok) {
     std::fprintf(stderr, "lowering failed: %s\n", lr.error.c_str());
     return 1;
@@ -151,8 +167,11 @@ int CmdIr(const std::string& name) {
 }
 
 int CmdAsm(const std::string& name) {
-  Program p = MakeElementByName(name);
-  LowerResult lr = LowerProgram(p);
+  std::optional<Program> p = LoadElement(name);
+  if (!p) {
+    return 2;
+  }
+  LowerResult lr = LowerProgram(*p);
   if (!lr.ok) {
     std::fprintf(stderr, "lowering failed: %s\n", lr.error.c_str());
     return 1;
@@ -192,13 +211,16 @@ void PrintRuleFirings(const RuleFirings& r) {
 
 int CmdProfile(const std::string& name, const WorkloadSpec& workload) {
   CLARA_TRACE_SPAN("cli.pipeline", "cli");
-  Program program = [&] {
+  std::optional<Program> program = [&] {
     obs::StageTimer t("cli.parse", "cli.stage_ms.parse", "cli");
-    return MakeElementByName(name);
+    return LoadElement(name);
   }();
+  if (!program) {
+    return 2;
+  }
   NfInstance nf = [&] {
     obs::StageTimer t("cli.lower", "cli.stage_ms.lower", "cli");
-    return NfInstance(std::move(program));
+    return NfInstance(std::move(*program));
   }();
   if (!nf.ok()) {
     std::fprintf(stderr, "error: %s\n", nf.error().c_str());
@@ -324,6 +346,10 @@ int CmdTrain(const std::string& model_dir, bool fast) {
 
 int CmdInsights(const std::string& name, const WorkloadSpec& workload,
                 const std::string& model_dir) {
+  std::optional<Program> program = LoadElement(name);
+  if (!program) {
+    return 2;
+  }
   if (!model_dir.empty()) {
     TrainedBundle bundle;
     if (!LoadBundle(model_dir, &bundle)) {
@@ -331,39 +357,28 @@ int CmdInsights(const std::string& name, const WorkloadSpec& workload,
     }
     ClaraAnalyzer analyzer(CliAnalyzerOptions(), std::move(bundle));
     analyzer.SetInferBackend(g_infer);
-    OffloadingInsights insights = analyzer.Analyze(MakeElementByName(name), workload);
+    OffloadingInsights insights = analyzer.Analyze(std::move(*program), workload);
     std::printf("%s", insights.ToString(analyzer.perf_model().config()).c_str());
     return 0;
   }
   ClaraAnalyzer analyzer = TrainAnalyzer();
   analyzer.SetInferBackend(g_infer);
-  OffloadingInsights insights = analyzer.Analyze(MakeElementByName(name), workload);
+  OffloadingInsights insights = analyzer.Analyze(std::move(*program), workload);
   std::printf("%s", insights.ToString(analyzer.perf_model().config()).c_str());
   return 0;
-}
-
-bool KnownElement(const std::string& name) {
-  for (const auto& info : ElementRegistry()) {
-    if (info.name == name) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // One NF's telemetry report: profile, compile, evaluate at the optimal core
 // count, then print utilization + attribution + rule firings.
 int ReportOne(const std::string& name, const WorkloadSpec& workload, const NicConfig& cfg) {
   CLARA_TRACE_SPAN("cli.report_nf", "cli");
-  if (!KnownElement(name)) {
-    // MakeElementByName aborts on unknown names; keep the report going
-    // over the rest of the list instead.
-    std::fprintf(stderr, "error: unknown element: %s (see `clara_cli list`)\n", name.c_str());
-    return 1;
+  std::optional<Program> program = LoadElement(name);
+  if (!program) {
+    return 1;  // the report goes on over the rest of the list
   }
   NfInstance nf = [&] {
     obs::StageTimer t("cli.lower", "cli.stage_ms.lower", "cli");
-    return NfInstance(MakeElementByName(name));
+    return NfInstance(std::move(*program));
   }();
   if (!nf.ok()) {
     std::fprintf(stderr, "error: %s: %s\n", name.c_str(), nf.error().c_str());
