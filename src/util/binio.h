@@ -153,7 +153,9 @@ class BinReader {
       Fail("raw read of " + std::to_string(n) + " bytes exceeds remaining");
       return false;
     }
-    std::memcpy(out, p_ + off_, n);
+    if (n > 0) {  // an empty vector's data() may be null, which memcpy forbids
+      std::memcpy(out, p_ + off_, n);
+    }
     off_ += n;
     return true;
   }
