@@ -106,17 +106,12 @@ BENCHMARK(BM_LstmInference);
 
 // The LSTM-recurrence GEMV shape (4H x H rows at H=32), timed per backend:
 // the serve hot path's dominant kernel. The f32 rows use the dispatched
-// kernel table (AVX2 when available), the int8 rows include the per-call
-// activation quantization + dequantization the real recurrence pays.
+// kernel table (AVX2 when available).
 constexpr int kGemvRows = 128, kGemvCols = 32;
 
 struct GemvFixture {
   std::vector<double> m64, x64, bias64, y64;
   std::vector<float> m32, x32, bias32, y32;
-  std::vector<float> row_scale;
-  std::vector<int8_t> m8;
-  std::vector<int32_t> rowsum, acc;
-  std::vector<uint8_t> q;
 
   GemvFixture() {
     Rng rng(21);
@@ -131,18 +126,6 @@ struct GemvFixture {
     x32.assign(x64.begin(), x64.end());
     bias32.assign(bias64.begin(), bias64.end());
     y32.resize(kGemvRows);
-    row_scale.resize(kGemvRows);
-    m8.resize(kGemvRows * kGemvCols);
-    rowsum.assign(kGemvRows, 0);
-    acc.resize(kGemvRows);
-    q.resize(kGemvCols);
-    for (int r = 0; r < kGemvRows; ++r) {
-      row_scale[r] = kernels::Int8RowScale(&m64[r * kGemvCols], kGemvCols);
-      for (int c = 0; c < kGemvCols; ++c) {
-        m8[r * kGemvCols + c] = kernels::QuantizeWeight(m64[r * kGemvCols + c], row_scale[r]);
-        rowsum[r] += m8[r * kGemvCols + c];
-      }
-    }
   }
 
   void RunF64() {
@@ -152,15 +135,6 @@ struct GemvFixture {
   void RunF32(const kernels::F32Kernels& k) {
     k.gemv_bias(y32.data(), m32.data(), kGemvCols, x32.data(), bias32.data(), kGemvRows,
                 kGemvCols);
-    benchmark::DoNotOptimize(y32[0]);
-  }
-  void RunInt8(const kernels::F32Kernels& k) {
-    kernels::ActQuant aq = kernels::QuantizeActivations(x32.data(), kGemvCols, q.data());
-    k.gemv_int8(acc.data(), m8.data(), kGemvCols, q.data(), kGemvRows, kGemvCols);
-    for (int r = 0; r < kGemvRows; ++r) {
-      y32[r] = bias32[r] + row_scale[r] * aq.scale *
-                               static_cast<float>(acc[r] - aq.zero_point * rowsum[r]);
-    }
     benchmark::DoNotOptimize(y32[0]);
   }
 };
@@ -193,14 +167,6 @@ void BM_GemvF32Simd(benchmark::State& state) {
 }
 BENCHMARK(BM_GemvF32Simd);
 
-void BM_GemvInt8(benchmark::State& state) {
-  GemvFixture fx;
-  for (auto _ : state) {
-    fx.RunInt8(kernels::ActiveF32Kernels());
-  }
-}
-BENCHMARK(BM_GemvInt8);
-
 void BM_LstmInferenceF32(benchmark::State& state) {
   SeqDataset data;
   data.vocab = 64;
@@ -225,31 +191,6 @@ void BM_LstmInferenceF32(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LstmInferenceF32);
-
-void BM_LstmInferenceInt8(benchmark::State& state) {
-  SeqDataset data;
-  data.vocab = 64;
-  Rng rng(1);
-  for (int i = 0; i < 100; ++i) {
-    SeqExample ex;
-    for (int t = 0; t < 24; ++t) {
-      ex.tokens.push_back(static_cast<int>(rng.NextBounded(64)));
-    }
-    ex.target = static_cast<double>(rng.NextBounded(40));
-    data.examples.push_back(std::move(ex));
-  }
-  LstmOptions opts;
-  opts.epochs = 2;
-  opts.hidden = 32;
-  LstmRegressor lstm(opts);
-  lstm.Fit(data);
-  lstm.SetInferBackend(InferBackend::kInt8);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lstm.Predict(data.examples[i++ % 100].tokens));
-  }
-}
-BENCHMARK(BM_LstmInferenceInt8);
 
 void BM_PerfModelEvaluate(benchmark::State& state) {
   PerfModel model;
@@ -444,21 +385,14 @@ void EmitParallelComparison() {
   };
   double f64_ms = best_of([&] { fx.RunF64(); });
   double f32_ms = best_of([&] { fx.RunF32(kernels::ActiveF32Kernels()); });
-  double int8_ms = best_of([&] { fx.RunInt8(kernels::ActiveF32Kernels()); });
   double f32_speedup = f32_ms > 0 ? f64_ms / f32_ms : 0;
-  double int8_speedup = int8_ms > 0 ? f64_ms / int8_ms : 0;
-  std::printf("gemv %dx%d (%s): f64 %.3fms  f32 %.3fms (%.2fx)  int8 %.3fms (%.2fx)\n",
-              kGemvRows, kGemvCols, kernels::ActiveF32Kernels().name, f64_ms, f32_ms,
-              f32_speedup, int8_ms, int8_speedup);
+  std::printf("gemv %dx%d (%s): f64 %.3fms  f32 %.3fms (%.2fx)\n", kGemvRows, kGemvCols,
+              kernels::ActiveF32Kernels().name, f64_ms, f32_ms, f32_speedup);
   auto cap = [](double v) { return v < 2.5 ? v : 2.5; };
   rows.Row()
       .Str("phase", "gemv_speedup")
       .Str("variant", "f32_simd_vs_f64_scalar")
       .Num("speedup_capped", cap(f32_speedup));
-  rows.Row()
-      .Str("phase", "gemv_speedup")
-      .Str("variant", "int8_vs_f64_scalar")
-      .Num("speedup_capped", cap(int8_speedup));
 }
 
 }  // namespace clara

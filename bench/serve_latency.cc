@@ -22,7 +22,6 @@
 
 #include "bench/bench_util.h"
 #include "src/core/analyzer.h"
-#include "src/ml/kernels_f32.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
 #include "src/serve/artifact.h"
@@ -149,68 +148,9 @@ int Run() {
     }
   }
 
-  // ---- int8 backend on the miss path ----
-  //
-  // A cache miss pays profiling + per-block LSTM inference + analysis; the
-  // int8 engine accelerates the inference share. Misses are forced by giving
-  // every request a fresh workload seed (a different workload hash misses
-  // the cache), interleaved between the two engines so machine-load drift
-  // hits both equally; per-engine best-of-round totals make the ratio
-  // stable. Gate: int8 must not be slower, and its training-set WMAPE must
-  // stay within 1% relative of the f64 path's.
-  // Dedicated engines for the comparison, with a lighter profiling pass
-  // (100 packets) so the inference share of a miss — the part the backend
-  // changes — dominates the ratio instead of trace interpretation.
-  TrainedBundle bundle64_cmp, bundle8_cmp;
-  if (!serve::DeserializeBundle(artifact, &bundle64_cmp, &error) ||
-      !serve::DeserializeBundle(artifact, &bundle8_cmp, &error)) {
-    std::fprintf(stderr, "serve_latency: %s\n", error.c_str());
-    return 1;
-  }
-  serve::ServeOptions opts_cmp = opts;
-  opts_cmp.profile_packets = 100;
-  serve::ServeEngine engine64_cmp(std::move(bundle64_cmp), opts_cmp);
-  serve::ServeOptions opts8 = opts_cmp;
-  opts8.infer_backend = InferBackend::kInt8;
-  serve::ServeEngine engine8(std::move(bundle8_cmp), opts8);
-
-  const char* kMissElements[] = {"aggcounter", "heavyhitter", "iplookup", "cmsketch"};
-  uint64_t miss_seed = 1000;
-  auto miss_round_ms = [&](serve::ServeEngine& eng) -> double {
-    Clock::time_point start = Clock::now();
-    for (const char* element : kMissElements) {
-      serve::InsightRequest req = Request(next_id++, element);
-      req.workload.seed = miss_seed++;
-      serve::InsightResponse resp = eng.Handle(std::move(req));
-      if (resp.error != serve::ErrorCode::kOk) {
-        std::fprintf(stderr, "serve_latency: int8-compare miss failed: %s\n",
-                     resp.error_message.c_str());
-        return -1;
-      }
-    }
-    return MsSince(start);
-  };
-  double miss64_ms = -1, miss8_ms = -1;
-  for (int round = 0; round < kRounds + 1; ++round) {
-    double m64 = miss_round_ms(engine64_cmp);
-    double m8 = miss_round_ms(engine8);
-    if (m64 < 0 || m8 < 0) {
-      return 1;
-    }
-    if (round == 0) {
-      continue;  // warmup
-    }
-    if (miss64_ms < 0 || m64 < miss64_ms) {
-      miss64_ms = m64;
-    }
-    if (miss8_ms < 0 || m8 < miss8_ms) {
-      miss8_ms = m8;
-    }
-  }
-  double int8_miss_speedup = miss8_ms > 0 ? miss64_ms / miss8_ms : 0;
-
-  // WMAPE parity on the cold-trained predictor's own dataset (the loaded
-  // bundle does not persist it).
+  // WMAPE parity of the f32 SIMD engine against the f64 path, on the
+  // cold-trained predictor's own dataset (the loaded bundle does not
+  // persist it). Gate: f32 must stay within 1% relative of f64.
   const SeqDataset& train_set = analyzer.predictor().dataset();
   auto wmape = [&](const LstmRegressor& model) {
     double abs_err = 0, abs_y = 0;
@@ -220,10 +160,10 @@ int Run() {
     }
     return abs_y > 0 ? abs_err / abs_y : 0;
   };
-  LstmRegressor lstm8 = analyzer.predictor().model();
-  lstm8.SetInferBackend(InferBackend::kInt8);
+  LstmRegressor lstm32 = analyzer.predictor().model();
+  lstm32.SetInferBackend(InferBackend::kF32);
   double wmape64 = wmape(analyzer.predictor().model());
-  double wmape8 = wmape(lstm8);
+  double wmape32 = wmape(lstm32);
 
   // ---- hot reload under load ----
   //
@@ -319,9 +259,7 @@ int Run() {
               cache_speedup);
   std::printf("%-28s %12.3f %12.3f %9.2fx\n", "cache hit with tracing on", hit_ms,
               traced_hit_ms, tracing_ratio);
-  std::printf("%-28s %12.3f %12.3f %9.2fx\n", "miss f64 vs int8 engine", miss64_ms,
-              miss8_ms, int8_miss_speedup);
-  std::printf("%-28s %12.4f %12.4f\n", "train WMAPE f64 vs int8", wmape64, wmape8);
+  std::printf("%-28s %12.4f %12.4f\n", "train WMAPE f64 vs f32", wmape64, wmape32);
   std::printf("%-28s %12.3f %12.3f %9.2fx\n", "cache-hit p99 during reload",
               plain_p99_us / 1000.0, reload_p99_us / 1000.0, reload_p99_ratio);
 
@@ -335,9 +273,6 @@ int Run() {
   json.Row()
       .Str("phase", "tracing_on_vs_off")
       .Num("tracing_overhead_latency_ratio", tracing_ratio_clamped);
-  json.Row()
-      .Str("phase", "cache_miss_f64_vs_int8")
-      .Num("speedup_capped", std::min(int8_miss_speedup, 5.0));
   json.Row()
       .Str("phase", "reload_during_load")
       .Num("hot_reload_p99_latency_ratio", reload_p99_ratio_clamped);
@@ -354,18 +289,6 @@ int Run() {
                  tracing_ratio);
     return 1;
   }
-  // The int8-beats-f64 gate only holds where the SIMD kernels dispatch: the
-  // scalar fallback keeps cross-machine bit-exactness by paying libm fmaf
-  // per multiply-add, which costs more than the quantization saves. There
-  // int8 must merely stay in the same ballpark.
-  double int8_floor = kernels::Avx2F32Kernels() != nullptr ? 1.0 : 0.75;
-  if (int8_miss_speedup <= int8_floor) {
-    std::fprintf(stderr,
-                 "serve_latency: int8 engine too slow on cache misses "
-                 "(%.2fx, floor %.2fx)\n",
-                 int8_miss_speedup, int8_floor);
-    return 1;
-  }
   if (reload_p99_ratio > 1.05) {
     std::fprintf(stderr,
                  "serve_latency: hot reload disturbs the serving path "
@@ -373,11 +296,11 @@ int Run() {
                  reload_p99_ratio);
     return 1;
   }
-  if (wmape8 > wmape64 * 1.01 + 1e-9) {
+  if (wmape32 > wmape64 * 1.01 + 1e-9) {
     std::fprintf(stderr,
-                 "serve_latency: int8 WMAPE degraded more than 1%% relative "
-                 "(f64 %.6f, int8 %.6f)\n",
-                 wmape64, wmape8);
+                 "serve_latency: f32 WMAPE degraded more than 1%% relative "
+                 "(f64 %.6f, f32 %.6f)\n",
+                 wmape64, wmape32);
     return 1;
   }
   return 0;

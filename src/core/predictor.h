@@ -72,12 +72,6 @@ class InstructionPredictor {
   void SetInferBackend(InferBackend backend) { lstm_.SetInferBackend(backend); }
   InferBackend infer_backend() const { return lstm_.infer_backend(); }
 
-  // Quantized-weights frame plumbing for the artifact store.
-  Int8LstmParams QuantizedParams() const { return lstm_.QuantizedParams(); }
-  bool AttachQuantized(Int8LstmParams quant, std::string* error) {
-    return lstm_.AttachQuantized(std::move(quant), error);
-  }
-
  private:
   PredictorOptions opts_;
   Vocabulary vocab_;

@@ -1,67 +1,13 @@
 #include "src/ml/infer.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/ml/kernels_f32.h"
-#include "src/util/binio.h"
 
 namespace clara {
 namespace {
 
-constexpr uint16_t kInt8Tag = 0x3851;  // "Q8"
-
 int RoundUp8(int n) { return (n + 7) & ~7; }
-
-void WriteF32(BinWriter& w, float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  w.U32(bits);
-}
-
-float ReadF32(BinReader& r) {
-  uint32_t bits = r.U32();
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-void WriteVecF32(BinWriter& w, const std::vector<float>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (float x : v) {
-    WriteF32(w, x);
-  }
-}
-
-bool ReadVecF32(BinReader& r, std::vector<float>* out) {
-  out->clear();
-  uint32_t len = r.U32();
-  if (!r.ok() || static_cast<uint64_t>(len) * 4 > r.remaining()) {
-    r.Fail("f32 vector length " + std::to_string(len) + " exceeds remaining bytes");
-    return false;
-  }
-  out->reserve(len);
-  for (uint32_t i = 0; i < len && r.ok(); ++i) {
-    out->push_back(ReadF32(r));
-  }
-  return r.ok();
-}
-
-void WriteVecI8(BinWriter& w, const std::vector<int8_t>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  w.Bytes(v.data(), v.size());
-}
-
-bool ReadVecI8(BinReader& r, std::vector<int8_t>* out) {
-  out->clear();
-  uint32_t len = r.U32();
-  if (!r.ok() || len > r.remaining()) {
-    r.Fail("int8 vector length " + std::to_string(len) + " exceeds remaining bytes");
-    return false;
-  }
-  out->resize(len);
-  return r.Raw(out->data(), len);
-}
 
 void CastToF32(const std::vector<double>& src, float* dst) {
   for (size_t i = 0; i < src.size(); ++i) {
@@ -81,32 +27,6 @@ void CastRowsToF32(const std::vector<double>& src, float* dst, int rows, int col
   }
 }
 
-void QuantizeRows(const std::vector<double>& src, int rows, int cols,
-                  std::vector<float>* scales, std::vector<int8_t>* out) {
-  scales->resize(rows);
-  out->resize(static_cast<size_t>(rows) * cols);
-  for (int r = 0; r < rows; ++r) {
-    const double* row = src.data() + static_cast<size_t>(r) * cols;
-    float scale = kernels::Int8RowScale(row, cols);
-    (*scales)[r] = scale;
-    for (int c = 0; c < cols; ++c) {
-      (*out)[static_cast<size_t>(r) * cols + c] = kernels::QuantizeWeight(row[c], scale);
-    }
-  }
-}
-
-std::vector<int32_t> RowSums(const std::vector<int8_t>& w, int rows, int cols) {
-  std::vector<int32_t> sums(rows, 0);
-  for (int r = 0; r < rows; ++r) {
-    int32_t s = 0;
-    for (int c = 0; c < cols; ++c) {
-      s += w[static_cast<size_t>(r) * cols + c];
-    }
-    sums[r] = s;
-  }
-  return sums;
-}
-
 }  // namespace
 
 const char* InferBackendName(InferBackend b) {
@@ -115,8 +35,6 @@ const char* InferBackendName(InferBackend b) {
       return "f64";
     case InferBackend::kF32:
       return "f32";
-    case InferBackend::kInt8:
-      return "int8";
   }
   return "f64";
 }
@@ -126,97 +44,17 @@ bool ParseInferBackend(std::string_view s, InferBackend* out) {
     *out = InferBackend::kF64;
   } else if (s == "f32") {
     *out = InferBackend::kF32;
-  } else if (s == "int8") {
-    *out = InferBackend::kInt8;
   } else {
     return false;
   }
   return true;
 }
 
-void Int8LstmParams::SaveTo(BinWriter& w) const {
-  w.U16(kInt8Tag);
-  w.I32(hidden);
-  w.I32(fc_hidden);
-  w.I32(vocab);
-  WriteVecF32(w, wh_scale);
-  WriteVecI8(w, wh);
-  WriteVecF32(w, w1_scale);
-  WriteVecI8(w, w1);
-  WriteF32(w, w2_scale);
-  WriteVecI8(w, w2);
-}
-
-bool Int8LstmParams::LoadFrom(BinReader& r) {
-  if (r.U16() != kInt8Tag) {
-    r.Fail("int8: bad section tag");
-    return false;
-  }
-  hidden = r.I32();
-  fc_hidden = r.I32();
-  vocab = r.I32();
-  ReadVecF32(r, &wh_scale);
-  ReadVecI8(r, &wh);
-  ReadVecF32(r, &w1_scale);
-  ReadVecI8(r, &w1);
-  w2_scale = ReadF32(r);
-  ReadVecI8(r, &w2);
-  if (!r.ok()) {
-    return false;
-  }
-  if (hidden <= 0 || fc_hidden <= 0 || vocab < 0) {
-    r.Fail("int8: non-positive architecture dimensions");
-    return false;
-  }
-  std::string why;
-  if (!Validate(hidden, fc_hidden, vocab, &why)) {
-    r.Fail(why);
-    return false;
-  }
-  return true;
-}
-
-bool Int8LstmParams::Validate(int hidden_dim, int fc_dim, int vocab_dim,
-                              std::string* error) const {
-  if (hidden != hidden_dim || fc_hidden != fc_dim || vocab != vocab_dim) {
-    *error = "int8: quantized dims do not match the f64 model";
-    return false;
-  }
-  size_t h = static_cast<size_t>(hidden_dim);
-  size_t f = static_cast<size_t>(fc_dim);
-  bool shapes_ok =
-      vocab == 0 ? wh_scale.empty() && wh.empty() && w1_scale.empty() &&
-                       w1.empty() && w2.empty()
-                 : wh_scale.size() == 4 * h && wh.size() == 4 * h * h &&
-                       w1_scale.size() == f && w1.size() == f * h && w2.size() == f;
-  if (!shapes_ok) {
-    *error = "int8: quantized weight shapes inconsistent with dims";
-    return false;
-  }
-  return true;
-}
-
-Int8LstmParams QuantizeLstm(const LstmF64View& v) {
-  Int8LstmParams q;
-  q.hidden = v.hidden;
-  q.fc_hidden = v.fc_hidden;
-  q.vocab = v.vocab;
-  if (v.vocab == 0) {
-    return q;
-  }
-  QuantizeRows(*v.wh, 4 * v.hidden, v.hidden, &q.wh_scale, &q.wh);
-  QuantizeRows(*v.w1, v.fc_hidden, v.hidden, &q.w1_scale, &q.w1);
-  std::vector<float> w2_scale;
-  QuantizeRows(*v.w2, 1, v.fc_hidden, &w2_scale, &q.w2);
-  q.w2_scale = w2_scale[0];
-  return q;
-}
-
 LstmInferEngine::AlignedF32::AlignedF32(size_t n) {
   p_.reset(new (std::align_val_t{32}) float[n]());
 }
 
-LstmInferEngine::LstmInferEngine(const LstmF64View& v, Int8LstmParams quant)
+LstmInferEngine::LstmInferEngine(const LstmF64View& v)
     : h_(v.hidden),
       f_(v.fc_hidden),
       vocab_(v.vocab),
@@ -229,8 +67,7 @@ LstmInferEngine::LstmInferEngine(const LstmF64View& v, Int8LstmParams quant)
       w1_(static_cast<size_t>(v.fc_hidden) * hp_),
       b1_(static_cast<size_t>(v.fc_hidden)),
       w2_(static_cast<size_t>(fp_)),
-      b2_(static_cast<float>(v.b2)),
-      quant_(quant.empty() ? QuantizeLstm(v) : std::move(quant)) {
+      b2_(static_cast<float>(v.b2)) {
   if (vocab_ == 0) {
     return;
   }
@@ -240,14 +77,10 @@ LstmInferEngine::LstmInferEngine(const LstmF64View& v, Int8LstmParams quant)
   CastRowsToF32(*v.w1, w1_.data(), f_, h_, hp_);
   CastToF32(*v.b1, b1_.data());
   CastToF32(*v.w2, w2_.data());
-  wh_rowsum_ = RowSums(quant_.wh, 4 * h_, h_);
-  w1_rowsum_ = RowSums(quant_.w1, f_, h_);
-  w2_rowsum_ = RowSums(quant_.w2, 1, f_)[0];
 }
 
 void LstmInferEngine::RunSteps(const std::vector<int>& tokens, float* h, float* c,
-                               float* pre, float* tmp, bool int8_recurrence,
-                               uint8_t* q, int32_t* acc) const {
+                               float* pre, float* tmp) const {
   const kernels::F32Kernels& k = kernels::ActiveF32Kernels();
   size_t len = std::min<size_t>(tokens.size(), max_seq_len_);
   for (size_t t = 0; t < len; ++t) {
@@ -255,16 +88,7 @@ void LstmInferEngine::RunSteps(const std::vector<int>& tokens, float* h, float* 
     if (x < 0 || x >= vocab_) {
       x = 0;
     }
-    if (int8_recurrence) {
-      kernels::ActQuant aq = kernels::QuantizeActivations(h, h_, q);
-      k.gemv_int8(acc, quant_.wh.data(), h_, q, 4 * h_, h_);
-      for (int r = 0; r < 4 * h_; ++r) {
-        pre[r] = (quant_.wh_scale[r] * aq.scale) *
-                 static_cast<float>(acc[r] - aq.zero_point * wh_rowsum_[r]);
-      }
-    } else {
-      k.gemv_bias(pre, wh_.data(), hp_, h, nullptr, 4 * h_, h_);
-    }
+    k.gemv_bias(pre, wh_.data(), hp_, h, nullptr, 4 * h_, h_);
     kernels::OneHotGatherAddF32(pre, wx_.data(), b_.data(), x, 4 * h_, vocab_);
     // Gate blocks [i; f; g; o], nonlinearities in place, then the cell update
     //   c = f⊙c + i⊙g ; h = o⊙tanh(c)
@@ -286,8 +110,7 @@ double LstmInferEngine::PredictF32(const std::vector<int>& tokens) const {
   std::vector<float> c(hp_, 0.0f);
   std::vector<float> pre(static_cast<size_t>(4) * h_);
   std::vector<float> tmp(hp_, 0.0f);
-  RunSteps(tokens, h.data(), c.data(), pre.data(), tmp.data(),
-           /*int8_recurrence=*/false, nullptr, nullptr);
+  RunSteps(tokens, h.data(), c.data(), pre.data(), tmp.data());
   std::vector<float> fc(static_cast<size_t>(2) * fp_, 0.0f);
   float* fc_pre = fc.data();
   float* fc_h = fc.data() + fp_;
@@ -296,36 +119,6 @@ double LstmInferEngine::PredictF32(const std::vector<int>& tokens) const {
     fc_h[j] = fc_pre[j] > 0 ? fc_pre[j] : 0;
   }
   return b2_ + k.dot(w2_.data(), fc_h, f_);
-}
-
-double LstmInferEngine::PredictInt8(const std::vector<int>& tokens) const {
-  const kernels::F32Kernels& k = kernels::ActiveF32Kernels();
-  std::vector<float> h(hp_, 0.0f);
-  std::vector<float> c(hp_, 0.0f);
-  std::vector<float> pre(static_cast<size_t>(4) * h_);
-  std::vector<float> tmp(hp_, 0.0f);
-  std::vector<uint8_t> q(static_cast<size_t>(std::max(hp_, fp_)));
-  std::vector<int32_t> acc(
-      std::max<size_t>(static_cast<size_t>(4) * h_, static_cast<size_t>(f_)));
-  RunSteps(tokens, h.data(), c.data(), pre.data(), tmp.data(),
-           /*int8_recurrence=*/true, q.data(), acc.data());
-  // FC head: int8 GEMV for W1, f32 bias + relu, int8 dot for w2.
-  std::vector<float> fc(static_cast<size_t>(2) * fp_, 0.0f);
-  float* fc_pre = fc.data();
-  float* fc_h = fc.data() + fp_;
-  kernels::ActQuant aq = kernels::QuantizeActivations(h.data(), h_, q.data());
-  k.gemv_int8(acc.data(), quant_.w1.data(), h_, q.data(), f_, h_);
-  for (int j = 0; j < f_; ++j) {
-    fc_pre[j] = b1_.data()[j] +
-                (quant_.w1_scale[j] * aq.scale) *
-                    static_cast<float>(acc[j] - aq.zero_point * w1_rowsum_[j]);
-    fc_h[j] = fc_pre[j] > 0 ? fc_pre[j] : 0;
-  }
-  kernels::ActQuant aq2 = kernels::QuantizeActivations(fc_h, f_, q.data());
-  int32_t a2 = 0;
-  k.gemv_int8(&a2, quant_.w2.data(), f_, q.data(), 1, f_);
-  return b2_ + (quant_.w2_scale * aq2.scale) *
-                   static_cast<float>(a2 - aq2.zero_point * w2_rowsum_);
 }
 
 }  // namespace clara

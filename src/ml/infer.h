@@ -1,44 +1,34 @@
-// The packed inference engine for the serve hot path: float32 and
-// int8-quantized forward passes for the trained LSTM + FC head, built once
-// from the double-precision training parameters.
+// The packed inference engine for the serve hot path: a float32 forward
+// pass for the trained LSTM + FC head, built once from the double-precision
+// training parameters.
 //
 // Backends and their guarantees:
-//   * kF64  — the original scalar double path (LstmRegressor::Forward).
+//   * kF64 — the original scalar double path (LstmRegressor::Forward).
 //     Bit-identical to training-time predictions; the default everywhere.
-//   * kF32  — packed float32 weights, AVX2/FMA kernels with scalar fallback
+//   * kF32 — packed float32 weights, AVX2/FMA kernels with scalar fallback
 //     (src/ml/kernels_f32.h). Bit-identical across scalar and AVX2 on the
 //     same artifact; diverges from kF64 only through f32 rounding and the
 //     bounded-error tanh/sigmoid polynomial.
-//   * kInt8 — per-row symmetric int8 weights for the LSTM recurrence and FC
-//     head, dynamic uint8 activation quantization per GEMV. Also
-//     bit-identical across scalar and AVX2 (the quantized GEMV is exact
-//     integer arithmetic; dequantization is shared elementwise f32 code).
 //
 // Weight layout: the four gate blocks (i, f, g, o) are packed row-major into
 // one 4H-row matrix exactly like the f64 trainer, with each f32 row padded
 // to a multiple of 8 floats and the buffers 32-byte aligned so every AVX2
 // row load starts on a vector boundary. The one-hot input transform stays a
-// column gather (f32, stride = vocab). Int8 rows are stored unpadded with
-// one scale per row; row sums for the zero-point correction are precomputed
-// at build time.
+// column gather (f32, stride = vocab).
 #ifndef SRC_ML_INFER_H_
 #define SRC_ML_INFER_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
 namespace clara {
 
-class BinReader;
-class BinWriter;
-
-enum class InferBackend : uint8_t { kF64 = 0, kF32 = 1, kInt8 = 2 };
+enum class InferBackend : uint8_t { kF64 = 0, kF32 = 1 };
 
 const char* InferBackendName(InferBackend b);
-// Parses "f64" | "f32" | "int8"; returns false (out untouched) otherwise.
+// Parses "f64" | "f32"; returns false (out untouched) otherwise.
 bool ParseInferBackend(std::string_view s, InferBackend* out);
 
 // A read-only view of LstmRegressor's trained double-precision parameters
@@ -58,47 +48,17 @@ struct LstmF64View {
   double b2 = 0;
 };
 
-// The serializable int8 weight set: what the optional artifact frame stores
-// and what QuantizeLstm produces. Quantization is deterministic, so the
-// frame emitted at save time and a quantize-at-load of the same f64 weights
-// are byte-identical. An untrained model quantizes to vocab == 0 with empty
-// weight vectors.
-struct Int8LstmParams {
-  int hidden = 0;
-  int fc_hidden = 0;
-  int vocab = 0;
-  std::vector<float> wh_scale;  // 4H per-row scales
-  std::vector<int8_t> wh;       // 4H x H
-  std::vector<float> w1_scale;  // F
-  std::vector<int8_t> w1;       // F x H
-  float w2_scale = 1;
-  std::vector<int8_t> w2;  // F
-
-  bool empty() const { return vocab == 0; }
-
-  void SaveTo(BinWriter& w) const;
-  bool LoadFrom(BinReader& r);
-  // Shape consistency against the owning LSTM's architecture.
-  bool Validate(int hidden_dim, int fc_dim, int vocab_dim, std::string* error) const;
-};
-
-Int8LstmParams QuantizeLstm(const LstmF64View& v);
-
-// Immutable packed inference state; safe for concurrent Predict* calls and
-// shared between LstmRegressor copies via shared_ptr. `quant` may be empty
-// (quantize-at-load) or a validated artifact frame.
+// Immutable packed inference state; safe for concurrent PredictF32 calls and
+// shared between LstmRegressor copies via shared_ptr.
 class LstmInferEngine {
  public:
-  LstmInferEngine(const LstmF64View& v, Int8LstmParams quant);
+  explicit LstmInferEngine(const LstmF64View& v);
   LstmInferEngine(const LstmInferEngine&) = delete;
   LstmInferEngine& operator=(const LstmInferEngine&) = delete;
 
   // Unscaled model outputs (callers apply y_scale and the >= 0 clamp, like
   // LstmRegressor::Forward).
   double PredictF32(const std::vector<int>& tokens) const;
-  double PredictInt8(const std::vector<int>& tokens) const;
-
-  const Int8LstmParams& quantized() const { return quant_; }
 
  private:
   // 32-byte aligned zero-initialized float buffer (movable, non-copyable).
@@ -117,7 +77,7 @@ class LstmInferEngine {
   };
 
   void RunSteps(const std::vector<int>& tokens, float* h, float* c, float* pre,
-                float* tmp, bool int8_recurrence, uint8_t* q, int32_t* acc) const;
+                float* tmp) const;
 
   int h_ = 0;        // hidden
   int f_ = 0;        // fc_hidden
@@ -132,10 +92,6 @@ class LstmInferEngine {
   AlignedF32 b1_;    // F
   AlignedF32 w2_;    // fp_
   float b2_ = 0;
-  Int8LstmParams quant_;
-  std::vector<int32_t> wh_rowsum_;  // 4H
-  std::vector<int32_t> w1_rowsum_;  // F
-  int32_t w2_rowsum_ = 0;
 };
 
 }  // namespace clara

@@ -1,4 +1,4 @@
-// AVX2/FMA implementation of the f32/int8 kernel table.
+// AVX2/FMA implementation of the f32 kernel table.
 //
 // Compiled in the default (baseline-ISA) build: every AVX2 function carries
 // __attribute__((target("avx2,fma"))) and is only ever reached through
@@ -108,36 +108,11 @@ CLARA_AVX2 void SigmoidVAvx2(float* y, const float* x, int n) {
   }
 }
 
-CLARA_AVX2 void GemvInt8Avx2(int32_t* acc, const int8_t* w, int stride,
-                             const uint8_t* q, int rows, int cols) {
-  for (int r = 0; r < rows; ++r) {
-    const int8_t* wr = w + static_cast<size_t>(r) * stride;
-    __m256i vacc = _mm256_setzero_si256();
-    int i = 0;
-    for (; i + 16 <= cols; i += 16) {
-      // Widen both operands to i16: products max out at 127*255 and
-      // madd_epi16 accumulates adjacent pairs into i32, so nothing saturates.
-      __m256i wv = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(wr + i)));
-      __m256i qv = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i)));
-      vacc = _mm256_add_epi32(vacc, _mm256_madd_epi16(wv, qv));
-    }
-    alignas(32) int32_t l[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(l), vacc);
-    int32_t s = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-    for (; i < cols; ++i) {
-      s += static_cast<int32_t>(wr[i]) * static_cast<int32_t>(q[i]);
-    }
-    acc[r] = s;
-  }
-}
-
 #undef CLARA_AVX2
 
 const F32Kernels kAvx2 = {
     "avx2",       DotAvx2,   GemvBiasAvx2, MulAvx2,
-    MulAccumAvx2, TanhVAvx2, SigmoidVAvx2, GemvInt8Avx2,
+    MulAccumAvx2, TanhVAvx2, SigmoidVAvx2,
 };
 
 }  // namespace

@@ -1,10 +1,9 @@
-// Scalar reference implementation of the f32/int8 kernel table, plus the
-// quantization helpers shared by every backend. The AVX2 twin lives in
+// Scalar reference implementation of the f32 kernel table, plus the shared
+// one-hot gather and tanh/sigmoid entry points. The AVX2 twin lives in
 // kernels_avx2.cc; see kernels_f32.h for the bit-exactness contract the two
 // files uphold together.
 #include "src/ml/kernels_f32.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/ml/simd.h"
@@ -88,21 +87,9 @@ void SigmoidVScalar(float* y, const float* x, int n) {
   }
 }
 
-void GemvInt8Scalar(int32_t* acc, const int8_t* w, int stride, const uint8_t* q,
-                    int rows, int cols) {
-  for (int r = 0; r < rows; ++r) {
-    const int8_t* wr = w + static_cast<size_t>(r) * stride;
-    int32_t s = 0;
-    for (int i = 0; i < cols; ++i) {
-      s += static_cast<int32_t>(wr[i]) * static_cast<int32_t>(q[i]);
-    }
-    acc[r] = s;
-  }
-}
-
 const F32Kernels kScalar = {
     "scalar",       DotScalar,   GemvBiasScalar, MulScalar,
-    MulAccumScalar, TanhVScalar, SigmoidVScalar, GemvInt8Scalar,
+    MulAccumScalar, TanhVScalar, SigmoidVScalar,
 };
 
 }  // namespace
@@ -124,49 +111,6 @@ void OneHotGatherAddF32(float* y, const float* wx, const float* bias, int x,
 float TanhApprox(float x) { return TanhCore(x); }
 
 float SigmoidApprox(float x) { return SigmoidCore(x); }
-
-int8_t QuantizeWeight(double w, float scale) {
-  // Clamp in the floating domain first: lrint on values outside long's range
-  // is undefined, so saturate before rounding.
-  double r = w / static_cast<double>(scale);
-  if (r > 127.0) {
-    r = 127.0;
-  }
-  if (r < -127.0) {
-    r = -127.0;
-  }
-  return static_cast<int8_t>(std::lrint(r));
-}
-
-float Int8RowScale(const double* w, int n) {
-  double maxabs = 0;
-  for (int i = 0; i < n; ++i) {
-    maxabs = std::max(maxabs, std::abs(w[i]));
-  }
-  if (maxabs == 0) {
-    return 1.0f;
-  }
-  return static_cast<float>(maxabs / 127.0);
-}
-
-ActQuant QuantizeActivations(const float* x, int n, uint8_t* q) {
-  float lo = 0.0f;
-  float hi = 0.0f;
-  for (int i = 0; i < n; ++i) {
-    lo = std::min(lo, x[i]);
-    hi = std::max(hi, x[i]);
-  }
-  ActQuant aq;
-  float range = hi - lo;
-  aq.scale = range > 0 ? range / 255.0f : 1.0f;
-  long zp = std::lrintf(-lo / aq.scale);
-  aq.zero_point = static_cast<int32_t>(std::clamp(zp, 0L, 255L));
-  for (int i = 0; i < n; ++i) {
-    long v = std::lrintf(x[i] / aq.scale) + aq.zero_point;
-    q[i] = static_cast<uint8_t>(std::clamp(v, 0L, 255L));
-  }
-  return aq;
-}
 
 }  // namespace kernels
 }  // namespace clara

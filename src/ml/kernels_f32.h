@@ -1,4 +1,4 @@
-// Float32 + int8 inference kernels behind runtime CPU-feature dispatch.
+// Float32 inference kernels behind runtime CPU-feature dispatch.
 //
 // Two implementations of the same kernel table exist in the binary: a scalar
 // reference (kernels_f32.cc) and an AVX2/FMA version (kernels_avx2.cc,
@@ -15,20 +15,18 @@
 //     (n % 8 elements) sequentially with fmaf;
 //   * elementwise kernels are a single exactly-rounded op per element;
 //   * tanh/sigmoid use one shared polynomial (see TanhApprox) built from
-//     fmaf/mul/div, all exactly rounded;
-//   * the int8 GEMV is pure integer arithmetic (order-independent).
+//     fmaf/mul/div, all exactly rounded.
 // The whole project is compiled with -ffp-contract=off so the compiler
 // cannot introduce fused ops the other implementation lacks.
 #ifndef SRC_ML_KERNELS_F32_H_
 #define SRC_ML_KERNELS_F32_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace clara {
 namespace kernels {
 
-// One vtable of f32/int8 kernels. `m` arguments are row-major with an
+// One vtable of f32 kernels. `m` arguments are row-major with an
 // explicit row stride (>= cols) so callers can pad rows for alignment.
 struct F32Kernels {
   const char* name;  // "scalar" or "avx2"
@@ -44,9 +42,6 @@ struct F32Kernels {
   void (*tanh_v)(float* y, const float* x, int n);
   // y[i] = 0.5 + 0.5 * TanhApprox(0.5 * x[i]); y may alias x
   void (*sigmoid_v)(float* y, const float* x, int n);
-  // acc[r] = sum_i w[r*stride + i] * q[i], exact int32 arithmetic
-  void (*gemv_int8)(int32_t* acc, const int8_t* w, int stride,
-                    const uint8_t* q, int rows, int cols);
 };
 
 // The scalar reference implementation (always available).
@@ -74,29 +69,6 @@ void OneHotGatherAddF32(float* y, const float* wx, const float* bias, int x,
 // tests/kernels_test.cc); the derived sigmoid is within 1.25e-4.
 float TanhApprox(float x);
 float SigmoidApprox(float x);
-
-// ---- int8 row quantization ----
-//
-// Weights are quantized symmetrically per row: scale = maxabs/127 (1.0 for
-// an all-zero row), q = clamp(round(w/scale), -127, 127). Activations are
-// quantized per call, asymmetric uint8 over [min(x,0), max(x,0)] so that
-// zero is exactly representable. The GEMV then dequantizes as
-//   y_r = row_scale_r * act_scale * (acc_r - zero_point * rowsum_r)
-// where rowsum_r = sum_i q_w[r][i] (precomputed int32).
-
-// round-to-nearest with clamping to [-127, 127]; never wraps.
-int8_t QuantizeWeight(double w, float scale);
-
-// scale for one weight row (maxabs/127, or 1.0 if the row is all zeros).
-float Int8RowScale(const double* w, int n);
-
-struct ActQuant {
-  float scale = 1.0f;
-  int32_t zero_point = 0;
-};
-
-// Quantizes n activations into q (uint8), returning scale and zero point.
-ActQuant QuantizeActivations(const float* x, int n, uint8_t* q);
 
 }  // namespace kernels
 }  // namespace clara

@@ -383,8 +383,7 @@ void LstmRegressor::Fit(const SeqDataset& data) {
     }
   }
 
-  // New weights invalidate any attached quantized frame and packed engine.
-  quant_ = Int8LstmParams{};
+  // New weights invalidate the packed engine.
   engine_.reset();
   if (backend_ != InferBackend::kF64) {
     BuildEngine();
@@ -463,7 +462,6 @@ bool LstmRegressor::LoadFrom(BinReader& r) {
   vocab_ = vocab;
   y_scale_ = y_scale;
   p_ = std::move(p);
-  quant_ = Int8LstmParams{};
   engine_.reset();
   if (backend_ != InferBackend::kF64) {
     BuildEngine();
@@ -478,8 +476,6 @@ double LstmRegressor::Predict(const std::vector<int>& tokens) const {
   double y;
   if (backend_ == InferBackend::kF32 && engine_ != nullptr) {
     y = engine_->PredictF32(tokens);
-  } else if (backend_ == InferBackend::kInt8 && engine_ != nullptr) {
-    y = engine_->PredictInt8(tokens);
   } else {
     y = Forward(tokens, nullptr);
   }
@@ -508,7 +504,7 @@ void LstmRegressor::BuildEngine() {
     engine_.reset();
     return;
   }
-  engine_ = std::make_shared<const LstmInferEngine>(View(), quant_);
+  engine_ = std::make_shared<const LstmInferEngine>(View());
 }
 
 void LstmRegressor::SetInferBackend(InferBackend backend) {
@@ -518,24 +514,6 @@ void LstmRegressor::SetInferBackend(InferBackend backend) {
   } else if (engine_ == nullptr) {
     BuildEngine();
   }
-}
-
-Int8LstmParams LstmRegressor::QuantizedParams() const {
-  if (!quant_.empty()) {
-    return quant_;
-  }
-  return QuantizeLstm(View());
-}
-
-bool LstmRegressor::AttachQuantized(Int8LstmParams quant, std::string* error) {
-  if (!quant.Validate(opts_.hidden, opts_.fc_hidden, vocab_, error)) {
-    return false;
-  }
-  quant_ = std::move(quant);
-  if (engine_ != nullptr) {
-    BuildEngine();  // the engine must serve the attached weights
-  }
-  return true;
 }
 
 }  // namespace clara

@@ -53,18 +53,10 @@ class LstmRegressor : public SeqRegressor {
   bool LoadFrom(BinReader& r);
 
   // Selects the inference backend for Predict(). kF64 (the default) is the
-  // training-time double path; kF32/kInt8 build the packed inference engine
-  // on first use (no-op while untrained). Copies share the immutable engine.
+  // training-time double path; kF32 builds the packed inference engine on
+  // first use (no-op while untrained). Copies share the immutable engine.
   void SetInferBackend(InferBackend backend);
   InferBackend infer_backend() const { return backend_; }
-
-  // Quantized weights for artifact serialization: the attached frame when
-  // one was loaded, otherwise computed deterministically from the double
-  // weights (the two are byte-identical for the same model).
-  Int8LstmParams QuantizedParams() const;
-  // Adopts a quantized frame loaded from an artifact; rejects dimension or
-  // shape mismatches against the f64 model.
-  bool AttachQuantized(Int8LstmParams quant, std::string* error);
 
  private:
   struct Params {
@@ -94,7 +86,6 @@ class LstmRegressor : public SeqRegressor {
   Params p_;
   double train_wmape_ = 0;
   InferBackend backend_ = InferBackend::kF64;
-  Int8LstmParams quant_;  // attached artifact frame (empty unless loaded)
   std::shared_ptr<const LstmInferEngine> engine_;
 };
 

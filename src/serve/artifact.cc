@@ -17,10 +17,6 @@ std::string BundlePath(const std::string& model_dir) {
 }
 
 std::string SerializeBundle(const TrainedBundle& bundle) {
-  return SerializeBundle(bundle, /*include_quantized=*/true);
-}
-
-std::string SerializeBundle(const TrainedBundle& bundle, bool include_quantized) {
   BinWriter payload;
   bundle.SaveTo(payload);
   BinWriter frame;
@@ -29,28 +25,16 @@ std::string SerializeBundle(const TrainedBundle& bundle, bool include_quantized)
   frame.U32(Crc32(payload.data()));
   frame.U32(static_cast<uint32_t>(payload.size()));
   frame.Bytes(payload.data().data(), payload.size());
-  if (include_quantized) {
-    // Deterministic quantization makes serialization a fixed point: a bundle
-    // that attached this frame at load time re-emits it byte-identically.
-    BinWriter qp;
-    bundle.predictor.QuantizedParams().SaveTo(qp);
-    frame.Bytes(kQuantMagic, sizeof(kQuantMagic));
-    frame.U16(kQuantVersion);
-    frame.U32(Crc32(qp.data()));
-    frame.U32(static_cast<uint32_t>(qp.size()));
-    frame.Bytes(qp.data().data(), qp.size());
-  }
   return frame.Take();
 }
 
 namespace {
 
-// Parses and attaches the optional trailing quantized frame. `tail` is
-// everything after the main payload; empty tail == legacy artifact (ok).
-// Any malformation is a hard error: a present-but-damaged frame must never
-// degrade into "silently serve requantized weights".
-bool AttachQuantFrame(std::string_view tail, TrainedBundle* bundle,
-                      std::string* error) {
+// Checks the trailing CLRQ frame of a bundle written by an older release.
+// `tail` is everything after the main payload; empty tail == no trailer
+// (ok). The payload is skipped once its CRC matches, but any malformation
+// is still a hard error: a damaged file must not load.
+bool CheckQuantTrailer(std::string_view tail, std::string* error) {
   if (tail.empty()) {
     return true;
   }
@@ -74,25 +58,13 @@ bool AttachQuantFrame(std::string_view tail, TrainedBundle* bundle,
              std::to_string(r.ok() ? r.remaining() : 0) + ")";
     return false;
   }
-  std::string_view payload = tail.substr(r.offset());
-  uint32_t actual = Crc32(payload);
+  uint32_t actual = Crc32(tail.substr(r.offset()));
   if (actual != crc) {
     char buf[80];
     std::snprintf(buf, sizeof(buf),
                   "artifact: quantized frame CRC mismatch (stored %08x, computed %08x)",
                   crc, actual);
     *error = buf;
-    return false;
-  }
-  BinReader body(payload);
-  Int8LstmParams quant;
-  if (!quant.LoadFrom(body)) {
-    *error = "artifact: " + body.error();
-    return false;
-  }
-  std::string why;
-  if (!bundle->predictor.AttachQuantized(std::move(quant), &why)) {
-    *error = "artifact: " + why;
     return false;
   }
   return true;
@@ -121,8 +93,9 @@ bool DeserializeBundle(std::string_view data, TrainedBundle* bundle, std::string
   }
   uint32_t crc = r.U32();
   uint32_t size = r.U32();
-  // Bytes beyond the main payload are the optional quantized frame, parsed
-  // below; fewer bytes than the payload claims is a truncated artifact.
+  // Bytes beyond the main payload are an older release's CLRQ trailer,
+  // checked below; fewer bytes than the payload claims is a truncated
+  // artifact.
   if (!r.ok() || size > r.remaining()) {
     *error = "artifact: truncated (payload size " + std::to_string(size) +
              ", remaining " + std::to_string(r.ok() ? r.remaining() : 0) + ")";
@@ -148,7 +121,7 @@ bool DeserializeBundle(std::string_view data, TrainedBundle* bundle, std::string
     *error = "artifact: " + body.error();
     return false;
   }
-  if (!AttachQuantFrame(data.substr(r.offset() + size), &loaded, error)) {
+  if (!CheckQuantTrailer(data.substr(r.offset() + size), error)) {
     return false;
   }
   *bundle = std::move(loaded);

@@ -7,19 +7,16 @@
 //   "CLRB" magic | u16 format version | u32 CRC-32 of payload | u32 payload
 //   size | payload (TrainedBundle::SaveTo encoding)
 //
-// followed by an optional quantized-weights frame (same shape, emitted by
-// default since the int8 serve path landed):
+// Bundles written by older releases end in one more frame of the same shape,
+// which carried int8 weights that nothing reads any more:
 //
 //   "CLRQ" magic | u16 frame version | u32 CRC-32 of payload | u32 payload
-//   size | payload (Int8LstmParams::SaveTo encoding)
+//   size | payload
 //
-// The quantized frame is backward/forward compatible: pre-frame artifacts
-// (nothing after the main payload) still load, and the server quantizes the
-// f64 weights at SetInferBackend time instead — deterministically, so the
-// result is byte-identical to what the frame would have carried. When the
-// frame IS present it must be complete and CRC-clean; a truncated or
-// corrupted trailer rejects the whole artifact rather than silently serving
-// different weights.
+// The loader still checks that trailer's magic, version, size and CRC, then
+// skips its payload: every existing bundle keeps loading, and a damaged
+// trailer still rejects the whole artifact. New bundles are written without
+// it.
 //
 // Loading verifies magic, version, size, and checksum before touching the
 // payload, and the payload decoder is fully bounds-checked — truncated,
@@ -46,10 +43,7 @@ inline constexpr uint16_t kQuantVersion = 1;
 std::string BundlePath(const std::string& model_dir);
 
 // Serializes the bundle with the artifact frame (magic/version/CRC).
-// `include_quantized` == false reproduces the pre-frame (legacy) format;
-// tests use it to pin backward compatibility.
 std::string SerializeBundle(const TrainedBundle& bundle);
-std::string SerializeBundle(const TrainedBundle& bundle, bool include_quantized);
 
 // Verifies the frame and decodes the payload. On failure returns false and
 // sets *error; *bundle is left untouched.

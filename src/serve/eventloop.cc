@@ -145,9 +145,19 @@ void EventLoop::ProcessTask(Task task) {
   // Mirror of the sequential transport's per-read-batch handling: parse
   // failures answer immediately, everything else is Submit()ed together so
   // the engine can micro-batch, and responses land in frame order.
+  const std::shared_ptr<Conn>& conn = task.conn;
   std::string out;
   std::vector<std::future<InsightResponse>> futures;
   for (const std::string& frame : task.frames) {
+    {
+      // Nobody will read the answers of a closed connection: stop feeding
+      // its frames to the engine, where they would only take queue slots
+      // from live clients.
+      std::lock_guard<std::mutex> lock(conn->out_mu);
+      if (conn->closed) {
+        break;
+      }
+    }
     InsightRequest req;
     std::string err;
     if (!ParseRequest(frame, &req, &err)) {
@@ -162,7 +172,6 @@ void EventLoop::ProcessTask(Task task) {
     AppendFrame(&out, EncodeResponse(f.get()));
   }
 
-  const std::shared_ptr<Conn>& conn = task.conn;
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
     --conn->in_flight;

@@ -116,7 +116,8 @@ class EventLoop {
     std::mutex out_mu;
     std::string outbound;     // encoded response frames awaiting flush
     size_t in_flight = 0;     // shard tasks not yet appended
-    bool closed = false;      // loop closed the fd; workers drop output
+    bool closed = false;      // loop closed the fd; workers skip its
+                              // remaining frames and drop output
     bool overflow = false;    // outbound cap blown; loop disconnects
     bool read_closed = false; // peer half-closed; close once drained
     bool want_write = false;  // EPOLLOUT armed

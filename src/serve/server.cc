@@ -12,7 +12,6 @@
 #include "src/lang/lower.h"
 #include "src/lang/parse.h"
 #include "src/lang/printer.h"
-#include "src/ml/kernels_f32.h"
 #include "src/obs/json_util.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
@@ -78,6 +77,13 @@ AnalyzerOptions MakeAnalyzerOptions(const ServeOptions& opts) {
   return a;
 }
 
+// Selecting the backend before the analyzer is built packs the f32 engine
+// once, before the snapshot serves its first request.
+TrainedBundle WithInferBackend(TrainedBundle bundle, InferBackend backend) {
+  bundle.predictor.SetInferBackend(backend);
+  return bundle;
+}
+
 BrownoutPolicy::Options BrownoutOptionsFrom(const ServeOptions& opts) {
   BrownoutPolicy::Options b;
   b.enter_threshold_us = opts.slo_p99_us;  // 0 keeps the policy disabled
@@ -89,18 +95,18 @@ BrownoutPolicy::Options BrownoutOptionsFrom(const ServeOptions& opts) {
 
 }  // namespace
 
+ServeEngine::ModelSnapshot::ModelSnapshot(AnalyzerOptions opts, TrainedBundle bundle,
+                                          InferBackend backend, uint64_t ver)
+    : analyzer(std::move(opts), WithInferBackend(std::move(bundle), backend)),
+      version(ver) {}
+
 ServeEngine::ServeEngine(TrainedBundle bundle, ServeOptions opts)
     : opts_(opts),
       model_(std::make_shared<ModelSnapshot>(MakeAnalyzerOptions(opts), std::move(bundle),
-                                             /*ver=*/1)),
-      effective_backend_(opts.infer_backend),
+                                             opts.infer_backend, /*ver=*/1)),
       brownout_(BrownoutOptionsFrom(opts)),
       slo_(SloOptionsFrom(opts)),
-      flight_(opts.flight_capacity) {
-  // Builds the packed f32/int8 engine once, before the first request; every
-  // ProcessBatch prediction then runs through the selected backend.
-  model_->analyzer.SetInferBackend(opts_.infer_backend);
-}
+      flight_(opts.flight_capacity) {}
 
 ServeEngine::~ServeEngine() { Stop(); }
 
@@ -685,9 +691,8 @@ std::shared_ptr<ServeEngine::ModelSnapshot> ServeEngine::ValidateCandidate(
     *error = "candidate bundle is not fully trained";
     return nullptr;
   }
-  auto cand = std::make_shared<ModelSnapshot>(MakeAnalyzerOptions(opts_),
-                                              std::move(bundle), /*ver=*/0);
-  cand->analyzer.SetInferBackend(effective_backend_.load(std::memory_order_relaxed));
+  auto cand = std::make_shared<ModelSnapshot>(MakeAnalyzerOptions(opts_), std::move(bundle),
+                                              opts_.infer_backend, /*ver=*/0);
   // Canary inference: before the candidate may serve traffic it must analyze
   // a known registry element to a sane insight — a bundle that deserialized
   // cleanly but predicts garbage is rejected here, off the serving path.
@@ -797,28 +802,17 @@ void ServeEngine::UpdateBrownout() {
         .GetCounter(active ? "serve.brownout.entered" : "serve.brownout.exited")
         .Add(1);
   }
-  std::shared_ptr<ModelSnapshot> model = Model();
-  if (active) {
-    // Degrade inference to int8 when the AVX2 kernels make it the fast
-    // path; without them the quantized engine is slower than f64 and the
-    // switch would deepen the overload.
-    if (opts_.infer_backend != InferBackend::kInt8 &&
-        kernels::Avx2F32Kernels() != nullptr) {
-      model->analyzer.SetInferBackend(InferBackend::kInt8);
-      effective_backend_.store(InferBackend::kInt8, std::memory_order_relaxed);
-    }
-    // Entry shed: cut the backlog to half capacity, lowest priority first.
-    std::vector<Pending> victims;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      victims = ShedLocked(std::max<size_t>(1, opts_.queue_capacity / 2));
-    }
-    for (auto& v : victims) {
-      Fulfill(v, SheddedResponse(v.req.id, "brownout: entry shed"));
-    }
-  } else if (effective_backend_.load(std::memory_order_relaxed) != opts_.infer_backend) {
-    model->analyzer.SetInferBackend(opts_.infer_backend);
-    effective_backend_.store(opts_.infer_backend, std::memory_order_relaxed);
+  if (!active) {
+    return;
+  }
+  // Entry shed: cut the backlog to half capacity, lowest priority first.
+  std::vector<Pending> victims;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    victims = ShedLocked(std::max<size_t>(1, opts_.queue_capacity / 2));
+  }
+  for (auto& v : victims) {
+    Fulfill(v, SheddedResponse(v.req.id, "brownout: entry shed"));
   }
 }
 
@@ -835,9 +829,7 @@ std::string ServeEngine::StatsJson() const {
   // marks the envelope schema: 1 was the bare registry dump, 2 nests it.
   std::string j = "{";
   j += "\"stats_version\":2,";
-  j += "\"infer\":\"" +
-       std::string(InferBackendName(effective_backend_.load(std::memory_order_relaxed))) +
-       "\",";
+  j += "\"infer\":\"" + std::string(InferBackendName(opts_.infer_backend)) + "\",";
   j += "\"simd\":\"" + simd::FeatureString() + "\",";
   j += "\"artifact_version\":" + std::to_string(artifact_version()) + ",";
   j += "\"brownout\":" + std::string(brownout_active() ? "true" : "false") + ",";
@@ -877,9 +869,7 @@ std::string ServeEngine::HealthJson() const {
   j += "\"uptime_ms\":" + std::to_string(NowUs() / 1000) + ",";
   // Model generation (1 = boot-time bundle, +1 per successful hot reload).
   j += "\"artifact_version\":" + std::to_string(artifact_version()) + ",";
-  j += "\"infer\":\"" +
-       std::string(InferBackendName(effective_backend_.load(std::memory_order_relaxed))) +
-       "\",";
+  j += "\"infer\":\"" + std::string(InferBackendName(opts_.infer_backend)) + "\",";
   j += "\"simd\":\"" + simd::FeatureString() + "\",";
   j += "\"queue_depth\":" + std::to_string(depth) + ",";
   j += "\"queue_capacity\":" + std::to_string(opts_.queue_capacity) + ",";

@@ -29,9 +29,10 @@
 //     deadline budgets are halved, the lowest-priority queued requests are
 //     shed with kShedded + a retry_after_ms hint, cache misses from the
 //     lowest priority class are shed instead of inferred (cache hits always
-//     serve), and inference drops to the int8 backend when AVX2 is
-//     available. Exit requires the p99 to stay below the threshold for a
-//     hold period, preventing enter/exit oscillation.
+//     serve). Inference keeps the configured backend, so an answer computed
+//     under brownout is the answer computed without it. Exit requires the
+//     p99 to stay below the threshold for a hold period, preventing
+//     enter/exit oscillation.
 //   * Instrumented via src/obs: serve.queue.depth, serve.batch.size,
 //     serve.cache.{hits,misses}, serve.latency_us (p50/p99), error/overrun
 //     counters, serve.reload.{ok,rejected}, serve.brownout.{entered,exited},
@@ -82,7 +83,7 @@ struct ServeOptions {
   // than the offline default: serving favors latency).
   size_t profile_packets = 2000;
   // LSTM inference backend for batched prediction (src/ml/infer.h). kF64 is
-  // the training-time double path; kF32/kInt8 run the packed SIMD engine.
+  // the training-time double path; kF32 runs the packed SIMD engine.
   InferBackend infer_backend = InferBackend::kF64;
   // Rolling-window SLO: when slo_p99_us > 0 and the window p99 exceeds it,
   // Health reports status "degraded" (and serve.slo.degraded flips to 1).
@@ -191,13 +192,14 @@ class ServeEngine {
  private:
   using Clock = std::chrono::steady_clock;
 
-  // An immutable serving model: analyzer + the generation it belongs to.
-  // Swapped wholesale by Reload(); readers pin it with a shared_ptr copy.
+  // An immutable serving model: analyzer (with its inference backend, and
+  // the packed engine built for it) + the generation it belongs to. Swapped
+  // wholesale by Reload(); readers pin it with a shared_ptr copy.
   struct ModelSnapshot {
-    ModelSnapshot(AnalyzerOptions opts, TrainedBundle bundle, uint64_t ver)
-        : analyzer(std::move(opts), std::move(bundle)), version(ver) {}
-    ClaraAnalyzer analyzer;
-    uint64_t version;
+    ModelSnapshot(AnalyzerOptions opts, TrainedBundle bundle, InferBackend backend,
+                  uint64_t ver);
+    const ClaraAnalyzer analyzer;
+    uint64_t version;  // Reload() stamps a candidate's before publishing it
   };
 
   // One named sub-interval of a request's lifetime, recorded while the batch
@@ -234,9 +236,9 @@ class ServeEngine {
   std::shared_ptr<ModelSnapshot> ValidateCandidate(TrainedBundle bundle,
                                                    std::string* error);
 
-  // Dispatcher-only: feeds the SLO window into the brownout policy, applies
-  // enter/exit side effects (backend switch, queue shedding), and mirrors
-  // the state into the atomics the other threads read.
+  // Dispatcher-only: feeds the SLO window into the brownout policy, sheds
+  // the queue on entry, and mirrors the state into the atomic the other
+  // threads read.
   void UpdateBrownout();
   // Removes the lowest-priority (newest among ties) entries from queue_
   // until its depth is <= target. Requires mu_; returns the victims for the
@@ -258,17 +260,13 @@ class ServeEngine {
   ServeOptions opts_;
 
   // Serving model. model_mu_ guards only the pointer swap; the snapshot
-  // itself is immutable while shared (the dispatcher-owned backend switch
-  // happens strictly between batches).
+  // itself never changes.
   mutable std::mutex model_mu_;
   std::shared_ptr<ModelSnapshot> model_;
   std::string reload_path_;  // guarded by model_mu_
   std::atomic<uint64_t> artifact_version_{1};
   std::atomic<uint64_t> reload_ok_{0};
   std::atomic<uint64_t> reload_rejected_{0};
-  // Backend actually in effect (brownout may override opts_.infer_backend);
-  // mirrored atomically so Stats/Health never race the dispatcher.
-  std::atomic<InferBackend> effective_backend_;
 
   // Brownout plane. The policy object is dispatcher-owned; everyone else
   // reads the atomic mirrors.

@@ -1,5 +1,5 @@
-// Tests for the f32/int8 inference kernels (src/ml/kernels_f32.h) and the
-// packed inference engine (src/ml/infer.h).
+// Tests for the f32 inference kernels (src/ml/kernels_f32.h) and the packed
+// inference engine (src/ml/infer.h).
 //
 // The load-bearing property is the determinism contract: the scalar and AVX2
 // kernel tables must agree bit-for-bit on every input length, so a model
@@ -17,17 +17,13 @@
 #include "src/ml/kernels_f32.h"
 #include "src/ml/lstm.h"
 #include "src/ml/simd.h"
-#include "src/util/binio.h"
 #include "src/util/rng.h"
 
 namespace clara {
 namespace {
 
-using kernels::ActQuant;
 using kernels::Avx2F32Kernels;
 using kernels::F32Kernels;
-using kernels::QuantizeActivations;
-using kernels::QuantizeWeight;
 using kernels::ScalarF32Kernels;
 
 std::vector<float> RandomVec(Rng& rng, int n, float lo = -3.0f, float hi = 3.0f) {
@@ -118,22 +114,6 @@ TEST_F(SimdExactnessTest, ElementwiseBitExactEveryLength) {
   }
 }
 
-TEST_F(SimdExactnessTest, GemvInt8ExactEveryLength) {
-  const F32Kernels& scalar = ScalarF32Kernels();
-  Rng rng(17);
-  for (int cols = 1; cols <= 64; ++cols) {
-    const int rows = 4;
-    std::vector<int8_t> w(rows * cols);
-    std::vector<uint8_t> q(cols);
-    for (auto& v : w) v = static_cast<int8_t>(rng.NextInt(-127, 127));
-    for (auto& v : q) v = static_cast<uint8_t>(rng.NextBounded(256));
-    std::vector<int32_t> as(rows), av(rows);
-    scalar.gemv_int8(as.data(), w.data(), cols, q.data(), rows, cols);
-    avx2_->gemv_int8(av.data(), w.data(), cols, q.data(), rows, cols);
-    EXPECT_EQ(as, av) << "gemv_int8 diverges at cols=" << cols;
-  }
-}
-
 // ---- approximation accuracy ----
 
 TEST(TanhApproxTest, BoundedErrorOnDenseGrid) {
@@ -154,151 +134,6 @@ TEST(TanhApproxTest, BoundedErrorOnDenseGrid) {
   EXPECT_NEAR(kernels::TanhApprox(-50.0f), -1.0f, 2.5e-4);
   EXPECT_NEAR(kernels::SigmoidApprox(40.0f), 1.0f, 1.25e-4);
   EXPECT_NEAR(kernels::SigmoidApprox(-40.0f), 0.0f, 1.25e-4);
-}
-
-// ---- int8 quantization ----
-
-TEST(QuantizeTest, WeightSaturatesNeverWraps) {
-  // In-range values round to nearest.
-  EXPECT_EQ(0, QuantizeWeight(0.0, 1.0f));
-  EXPECT_EQ(64, QuantizeWeight(64.2, 1.0f));
-  EXPECT_EQ(-64, QuantizeWeight(-64.2, 1.0f));
-  // Out-of-range values clamp to +/-127 instead of wrapping.
-  EXPECT_EQ(127, QuantizeWeight(1000.0, 1.0f));
-  EXPECT_EQ(-127, QuantizeWeight(-1000.0, 1.0f));
-  EXPECT_EQ(127, QuantizeWeight(127.49, 1.0f));
-  EXPECT_EQ(-127, QuantizeWeight(-127.49, 1.0f));
-  EXPECT_EQ(127, QuantizeWeight(1e30, 1.0f));
-  EXPECT_EQ(-127, QuantizeWeight(-1e30, 1.0f));
-}
-
-TEST(QuantizeTest, RowScaleMapsMaxAbsTo127) {
-  const double row[4] = {0.5, -2.0, 1.0, 0.25};
-  float scale = kernels::Int8RowScale(row, 4);
-  EXPECT_FLOAT_EQ(2.0f / 127.0f, scale);
-  EXPECT_EQ(-127, QuantizeWeight(row[1], scale));
-  // All-zero rows get the 1.0 sentinel scale (q = 0 everywhere).
-  const double zeros[3] = {0, 0, 0};
-  EXPECT_FLOAT_EQ(1.0f, kernels::Int8RowScale(zeros, 3));
-}
-
-TEST(QuantizeTest, ActivationRoundTripWithinHalfStep) {
-  Rng rng(23);
-  std::vector<float> x = RandomVec(rng, 37, -5.0f, 9.0f);
-  std::vector<uint8_t> q(x.size());
-  ActQuant aq = QuantizeActivations(x.data(), static_cast<int>(x.size()), q.data());
-  ASSERT_GT(aq.scale, 0.0f);
-  for (size_t i = 0; i < x.size(); ++i) {
-    float deq = aq.scale * (static_cast<float>(q[i]) - static_cast<float>(aq.zero_point));
-    EXPECT_NEAR(x[i], deq, aq.scale * 0.5f + 1e-6f) << "i=" << i;
-  }
-  // Zero is exactly representable (the asymmetric range always includes 0).
-  std::vector<float> with_zero = {0.0f, 3.0f, -1.5f};
-  std::vector<uint8_t> qz(3);
-  ActQuant az = QuantizeActivations(with_zero.data(), 3, qz.data());
-  EXPECT_EQ(az.zero_point, qz[0]);
-}
-
-TEST(QuantizeTest, Int8GemvMatchesF64WithinAnalyticBound) {
-  Rng rng(29);
-  const int rows = 16, cols = 32;
-  std::vector<double> w(rows * cols);
-  for (auto& v : w) v = 2.0 * rng.NextDouble() - 1.0;
-  std::vector<float> x = RandomVec(rng, cols, -2.0f, 2.0f);
-
-  // Quantize weights per row + activations, run the int8 GEMV, dequantize.
-  std::vector<float> scales(rows);
-  std::vector<int8_t> wq(rows * cols);
-  std::vector<int32_t> rowsum(rows, 0);
-  for (int r = 0; r < rows; ++r) {
-    scales[r] = kernels::Int8RowScale(&w[r * cols], cols);
-    for (int c = 0; c < cols; ++c) {
-      wq[r * cols + c] = QuantizeWeight(w[r * cols + c], scales[r]);
-      rowsum[r] += wq[r * cols + c];
-    }
-  }
-  std::vector<uint8_t> q(cols);
-  ActQuant aq = QuantizeActivations(x.data(), cols, q.data());
-  std::vector<int32_t> acc(rows);
-  kernels::ActiveF32Kernels().gemv_int8(acc.data(), wq.data(), cols, q.data(), rows, cols);
-
-  for (int r = 0; r < rows; ++r) {
-    double ref = 0;
-    for (int c = 0; c < cols; ++c) ref += w[r * cols + c] * static_cast<double>(x[c]);
-    double deq = static_cast<double>(scales[r]) * static_cast<double>(aq.scale) *
-                 static_cast<double>(acc[r] - aq.zero_point * rowsum[r]);
-    // Per-element error <= w_scale/2 * |x| + act_scale/2 * |w|; sum over cols.
-    double bound = 0;
-    for (int c = 0; c < cols; ++c) {
-      bound += 0.5 * scales[r] * std::abs(x[c]) +
-               0.5 * aq.scale * std::abs(w[r * cols + c]) +
-               0.25 * scales[r] * aq.scale;
-    }
-    EXPECT_NEAR(ref, deq, bound) << "row " << r;
-  }
-}
-
-// ---- Int8LstmParams serialization ----
-
-TEST(Int8ParamsTest, SaveLoadRoundTripAndMismatchRejection) {
-  Int8LstmParams p;
-  p.hidden = 2;
-  p.fc_hidden = 3;
-  p.vocab = 5;
-  p.wh_scale = {0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f, 0.7f, 0.8f};
-  p.wh.assign(8 * 2, 7);
-  p.w1_scale = {1.0f, 2.0f, 3.0f};
-  p.w1.assign(3 * 2, -5);
-  p.w2_scale = 0.25f;
-  p.w2 = {1, 2, 3};
-
-  BinWriter w;
-  p.SaveTo(w);
-  BinReader r(w.data());
-  Int8LstmParams q;
-  ASSERT_TRUE(q.LoadFrom(r));
-  EXPECT_EQ(p.hidden, q.hidden);
-  EXPECT_EQ(p.vocab, q.vocab);
-  EXPECT_EQ(p.wh, q.wh);
-  EXPECT_EQ(p.w1_scale, q.w1_scale);
-  EXPECT_FLOAT_EQ(p.w2_scale, q.w2_scale);
-
-  std::string err;
-  EXPECT_TRUE(q.Validate(2, 3, 5, &err)) << err;
-  EXPECT_FALSE(q.Validate(4, 3, 5, &err));  // wrong hidden
-  EXPECT_FALSE(q.Validate(2, 3, 9, &err));  // wrong vocab
-
-  // A shape-corrupted load is rejected by Validate.
-  q.wh.pop_back();
-  EXPECT_FALSE(q.Validate(2, 3, 5, &err));
-  EXPECT_FALSE(err.empty());
-}
-
-TEST(Int8ParamsTest, QuantizeLstmIsDeterministic) {
-  LstmOptions opts;
-  opts.hidden = 4;
-  opts.fc_hidden = 3;
-  opts.epochs = 2;
-  LstmRegressor model(opts);
-  SeqDataset data;
-  data.vocab = 6;
-  Rng rng(31);
-  for (int i = 0; i < 12; ++i) {
-    SeqExample ex;
-    for (int t = 0; t < 5; ++t) ex.tokens.push_back(static_cast<int>(rng.NextBounded(6)));
-    ex.target = 1.0 + static_cast<double>(i);
-    data.examples.push_back(ex);
-  }
-  model.Fit(data);
-
-  Int8LstmParams a = model.QuantizedParams();
-  Int8LstmParams b = model.QuantizedParams();
-  BinWriter wa, wb;
-  a.SaveTo(wa);
-  b.SaveTo(wb);
-  EXPECT_EQ(wa.data(), wb.data());
-  EXPECT_EQ(6, a.vocab);
-  EXPECT_FALSE(a.empty());
 }
 
 // ---- end-to-end: trained LSTM across backends ----
@@ -325,53 +160,33 @@ TEST(InferEngineTest, BackendsAgreeWithinBoundAndAreDeterministic) {
   std::vector<std::vector<int>> probes;
   for (int i = 0; i < 8; ++i) probes.push_back(data.examples[i * 3].tokens);
 
-  std::vector<double> y64, y32, y8;
+  std::vector<double> y64, y32;
   for (const auto& t : probes) y64.push_back(model.Predict(t));
 
   model.SetInferBackend(InferBackend::kF32);
   EXPECT_EQ(InferBackend::kF32, model.infer_backend());
   for (const auto& t : probes) y32.push_back(model.Predict(t));
 
-  model.SetInferBackend(InferBackend::kInt8);
-  for (const auto& t : probes) y8.push_back(model.Predict(t));
-
   for (size_t i = 0; i < probes.size(); ++i) {
     ASSERT_GT(y64[i], 0.0);
     // f32: only f32 rounding + the polynomial nonlinearities diverge.
     EXPECT_NEAR(y32[i], y64[i], 0.02 * y64[i] + 0.05) << "probe " << i;
-    // int8: adds quantization noise, still close at these magnitudes.
-    EXPECT_NEAR(y8[i], y64[i], 0.10 * y64[i] + 0.25) << "probe " << i;
   }
 
-  // Per-backend determinism: repeat predictions are bit-identical.
+  // Determinism: repeat predictions are bit-identical.
   for (const auto& t : probes) {
-    model.SetInferBackend(InferBackend::kInt8);
-    EXPECT_EQ(model.Predict(t), model.Predict(t));
-    model.SetInferBackend(InferBackend::kF32);
     EXPECT_EQ(model.Predict(t), model.Predict(t));
   }
 
   // Copies share the engine and answer identically.
   LstmRegressor copy = model;
   for (const auto& t : probes) EXPECT_EQ(copy.Predict(t), model.Predict(t));
-
-  // Attaching the model's own quantized frame is a no-op for predictions
-  // (quantize-at-load == the attached frame, byte for byte).
-  model.SetInferBackend(InferBackend::kInt8);
-  std::vector<double> before;
-  for (const auto& t : probes) before.push_back(model.Predict(t));
-  std::string err;
-  ASSERT_TRUE(model.AttachQuantized(model.QuantizedParams(), &err)) << err;
-  for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(before[i], model.Predict(probes[i]));
-  }
 }
 
-// Regression: the int8 accumulator buffer must cover the FC head too. With
-// fc_hidden > 4*hidden the head GEMV writes more rows than the LSTM
-// recurrence; sizing acc for the recurrence alone overflowed the heap
-// (caught under ASan with hidden=1, fc_hidden=64).
-TEST(InferEngineTest, Int8WideFcHeadDoesNotOverflowAccumulator) {
+// The FC head may be much wider than the LSTM recurrence (fc_hidden >
+// 4*hidden): the engine must size the head's buffers for the head, not for
+// the recurrence. ASan catches an overflow here.
+TEST(InferEngineTest, F32WideFcHeadStaysInBounds) {
   LstmOptions opts;
   opts.hidden = 1;
   opts.fc_hidden = 64;
@@ -387,7 +202,7 @@ TEST(InferEngineTest, Int8WideFcHeadDoesNotOverflowAccumulator) {
     data.examples.push_back(ex);
   }
   model.Fit(data);
-  model.SetInferBackend(InferBackend::kInt8);
+  model.SetInferBackend(InferBackend::kF32);
   for (const auto& ex : data.examples) {
     double y = model.Predict(ex.tokens);
     EXPECT_GE(y, 0.0);
@@ -399,15 +214,15 @@ TEST(InferEngineTest, ParseAndNameRoundTrip) {
   InferBackend b = InferBackend::kF64;
   EXPECT_TRUE(ParseInferBackend("f32", &b));
   EXPECT_EQ(InferBackend::kF32, b);
-  EXPECT_TRUE(ParseInferBackend("int8", &b));
-  EXPECT_EQ(InferBackend::kInt8, b);
   EXPECT_TRUE(ParseInferBackend("f64", &b));
   EXPECT_EQ(InferBackend::kF64, b);
   EXPECT_FALSE(ParseInferBackend("fp16", &b));
   EXPECT_EQ(InferBackend::kF64, b);  // untouched on failure
+  b = InferBackend::kF32;
+  EXPECT_FALSE(ParseInferBackend("int8", &b));  // the int8 backend is gone
+  EXPECT_EQ(InferBackend::kF32, b);
   EXPECT_STREQ("f64", InferBackendName(InferBackend::kF64));
   EXPECT_STREQ("f32", InferBackendName(InferBackend::kF32));
-  EXPECT_STREQ("int8", InferBackendName(InferBackend::kInt8));
   EXPECT_FALSE(simd::FeatureString().empty());
 }
 

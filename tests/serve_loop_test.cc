@@ -325,6 +325,19 @@ TEST(Loop, SlowReaderIsDisconnected) {
   }
   EXPECT_GE(h.loop().slow_disconnects(), 1u);
 
+  // The closed connection's queued frames never reach the engine, so its
+  // admission queue drains instead of filling with answers nobody reads.
+  auto drain_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool drained = false;
+  while (!drained && std::chrono::steady_clock::now() < drain_deadline) {
+    drained = h.engine().HealthJson().find("\"queue_depth\":0,") != std::string::npos;
+    if (!drained) {
+      ::usleep(10 * 1000);
+    }
+  }
+  ASSERT_TRUE(drained) << "engine queue not empty 10 s after the disconnect: "
+                       << h.engine().HealthJson();
+
   // The daemon itself is unharmed: a well-behaved client still gets served.
   int fd2 = h.Connect();
   ASSERT_GE(fd2, 0);

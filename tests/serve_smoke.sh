@@ -34,7 +34,7 @@ echo "== pipe daemon: 4 requests, one malformed =="
   "$CLIENT" --emit-malformed
   "$CLIENT" --emit --element=heavyhitter
 } > "$WORK/requests.bin"
-"$SERVE" --pipe --model-dir="$WORK/models" --infer=int8 < "$WORK/requests.bin" \
+"$SERVE" --pipe --model-dir="$WORK/models" --infer=f32 < "$WORK/requests.bin" \
   > "$WORK/responses.bin"
 
 set +e
@@ -52,7 +52,7 @@ test "$errors" -eq 1
 
 echo "== socket daemon: clients, control plane, tracing, SIGTERM shutdown =="
 "$SERVE" --socket="$WORK/clara.sock" --model-dir="$WORK/models" \
-  --infer=int8 --trace="$WORK/serve_trace.json" --slo-p99-us=1000000 \
+  --infer=f32 --trace="$WORK/serve_trace.json" --slo-p99-us=1000000 \
   --metrics-jsonl="$WORK/metrics.jsonl" --metrics-interval=200 \
   2> "$WORK/serve.log" &
 pid=$!
@@ -71,7 +71,7 @@ echo "== control plane: stats/health/dump return well-formed JSON =="
   | assert_json stats
 grep -q 'serve.requests' "$WORK/stats.json"
 grep -q '"stats_version":2' "$WORK/stats.json"
-grep -q '"infer":"int8"' "$WORK/stats.json"
+grep -q '"infer":"f32"' "$WORK/stats.json"
 # The epoll transport (the socket-mode default) reports itself in the envelope.
 grep -q '"transport":{"mode":"epoll"' "$WORK/stats.json"
 
@@ -91,7 +91,7 @@ test -S "$WORK/clara.sock"
   | assert_json health
 grep -q '"status":"ok"' "$WORK/health.json"
 grep -q '"artifact_version"' "$WORK/health.json"
-grep -q '"infer":"int8"' "$WORK/health.json"
+grep -q '"infer":"f32"' "$WORK/health.json"
 "$CLIENT" dump --socket="$WORK/clara.sock" | tee "$WORK/dump.json" \
   | assert_json dump
 grep -q '"records"' "$WORK/dump.json"

@@ -9,8 +9,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <future>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -179,83 +179,53 @@ TEST(Artifact, RejectsPayloadCorruption) {
   EXPECT_NE(error.find("CRC"), std::string::npos) << error;
 }
 
-// ---- artifact store: optional quantized-weights frame ----
+// ---- artifact store: the CLRQ trailer of older bundles ----
 
-// Byte offset where the trailing CLRQ frame starts: magic(4) + version(2) +
-// crc(4) + size(4) + main payload.
-size_t QuantFrameStart(const std::string& bytes) {
-  uint32_t payload_size;
-  std::memcpy(&payload_size, bytes.data() + 10, 4);
-  return 14 + payload_size;
+// Appends the frame older releases wrote after the main payload:
+// "CLRQ" | u16 version | u32 CRC-32 of payload | u32 payload size | payload.
+std::string WithQuantTrailer(const std::string& bundle, std::string_view payload) {
+  BinWriter w;
+  w.Bytes(serve::kQuantMagic, sizeof(serve::kQuantMagic));
+  w.U16(serve::kQuantVersion);
+  w.U32(Crc32(payload));
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.Bytes(payload.data(), payload.size());
+  return bundle + w.Take();
 }
 
-TEST(Artifact, LegacyArtifactWithoutQuantFrameLoadsAndServes) {
-  // include_quantized=false reproduces the pre-frame format byte-for-byte.
-  std::string legacy = serve::SerializeBundle(TrainedAnalyzer().ExportTrained(),
-                                              /*include_quantized=*/false);
-  ASSERT_LT(legacy.size(), SerializedBundle().size());
-  EXPECT_EQ(legacy, SerializedBundle().substr(0, legacy.size()));
+TEST(Artifact, OldQuantTrailerIsCheckedThenSkipped) {
+  const std::string& plain = SerializedBundle();
+  std::string old = WithQuantTrailer(plain, "int8 weights that nothing reads");
 
   TrainedBundle bundle;
   std::string error;
-  ASSERT_TRUE(serve::DeserializeBundle(legacy, &bundle, &error)) << error;
-  EXPECT_TRUE(bundle.trained());
+  ASSERT_TRUE(serve::DeserializeBundle(old, &bundle, &error)) << error;
+  // Written back without the trailer.
+  EXPECT_EQ(serve::SerializeBundle(bundle), plain);
 
-  // An engine asked for int8 quantizes at load and still serves.
-  serve::ServeOptions opts = FastServeOptions();
-  opts.infer_backend = InferBackend::kInt8;
-  serve::ServeEngine engine(std::move(bundle), opts);
-  serve::InsightResponse resp = engine.Handle(ElementRequest(1, "aggcounter"));
-  EXPECT_EQ(serve::ErrorCode::kOk, resp.error);
-  EXPECT_NE(engine.HealthJson().find("\"infer\":\"int8\""), std::string::npos);
-}
-
-TEST(Artifact, RejectsQuantFrameTruncation) {
-  const std::string& bytes = SerializedBundle();
-  size_t start = QuantFrameStart(bytes);
-  ASSERT_LT(start, bytes.size());
-  // Cut inside the frame header and inside its payload.
-  for (size_t keep : {start + 5, bytes.size() - 3}) {
-    TrainedBundle b;
-    std::string error;
-    EXPECT_FALSE(serve::DeserializeBundle(bytes.substr(0, keep), &b, &error))
-        << "kept " << keep << " of " << bytes.size();
-    EXPECT_NE(error.find("quantized"), std::string::npos) << error;
-  }
-}
-
-TEST(Artifact, RejectsQuantFrameCorruption) {
-  std::string bytes = SerializedBundle();
-  size_t start = QuantFrameStart(bytes);
-  // Flip a byte inside the frame payload (past its 14-byte header).
-  bytes[start + 14 + 2] ^= 0x20;
-  TrainedBundle b;
-  std::string error;
-  EXPECT_FALSE(serve::DeserializeBundle(bytes, &b, &error));
-  EXPECT_NE(error.find("CRC"), std::string::npos) << error;
-}
-
-TEST(Artifact, AttachedQuantFrameMatchesRequantization) {
-  // Quantization is deterministic, so int8 predictions from the attached
-  // frame and from quantize-at-load of the legacy artifact are identical.
-  TrainedBundle with_frame = ReloadedBundle();
-  std::string legacy = serve::SerializeBundle(TrainedAnalyzer().ExportTrained(),
-                                              /*include_quantized=*/false);
-  TrainedBundle without_frame;
-  std::string error;
-  ASSERT_TRUE(serve::DeserializeBundle(legacy, &without_frame, &error)) << error;
-
-  with_frame.predictor.SetInferBackend(InferBackend::kInt8);
-  without_frame.predictor.SetInferBackend(InferBackend::kInt8);
+  serve::ServeEngine with_trailer(std::move(bundle), FastServeOptions());
+  serve::ServeEngine without_trailer(ReloadedBundle(), FastServeOptions());
   for (const char* name : {"aggcounter", "heavyhitter"}) {
-    Module m = LowerElement(name);
-    NfPrediction a = with_frame.predictor.PredictNf(m);
-    NfPrediction b = without_frame.predictor.PredictNf(m);
-    ASSERT_EQ(a.blocks.size(), b.blocks.size());
-    for (size_t i = 0; i < a.blocks.size(); ++i) {
-      EXPECT_EQ(a.blocks[i].compute, b.blocks[i].compute) << name << " block " << i;
-    }
+    serve::InsightResponse a = with_trailer.Handle(ElementRequest(1, name));
+    serve::InsightResponse b = without_trailer.Handle(ElementRequest(1, name));
+    ASSERT_EQ(a.error, serve::ErrorCode::kOk) << a.error_message;
+    EXPECT_EQ(serve::EncodeResponseBody(a), serve::EncodeResponseBody(b)) << name;
   }
+
+  // A damaged trailer still rejects the whole artifact. Cut inside the
+  // trailer's header and inside its payload:
+  for (size_t keep : {plain.size() + 5, old.size() - 3}) {
+    TrainedBundle b;
+    EXPECT_FALSE(serve::DeserializeBundle(old.substr(0, keep), &b, &error))
+        << "kept " << keep << " of " << old.size();
+    EXPECT_NE(error.find("quantized frame truncated"), std::string::npos) << error;
+  }
+  // Flip a payload byte (past the trailer's 14-byte header):
+  std::string flipped = old;
+  flipped[plain.size() + 14 + 2] ^= 0x20;
+  TrainedBundle b;
+  EXPECT_FALSE(serve::DeserializeBundle(flipped, &b, &error));
+  EXPECT_NE(error.find("CRC mismatch"), std::string::npos) << error;
 }
 
 // ---- standalone model round trips (every family in the bundle or store) --
@@ -1157,6 +1127,9 @@ TEST(Engine, BrownoutShedsOnlyLowPriorityCacheMisses) {
     active = engine.brownout_active();
   }
   ASSERT_TRUE(active) << "brownout never engaged";
+  // Brownout sheds work; it never switches the inference backend.
+  EXPECT_NE(engine.HealthJson().find("\"infer\":\"f64\""), std::string::npos)
+      << engine.HealthJson();
 
   // Priority-0 cache miss: shed with a structured error and a retry hint.
   serve::InsightResponse shed = engine.Submit(ElementRequest(2, "heavyhitter")).get();
@@ -1171,9 +1144,17 @@ TEST(Engine, BrownoutShedsOnlyLowPriorityCacheMisses) {
   // Higher-priority work rides through the brownout.
   serve::InsightRequest vip = ElementRequest(4, "heavyhitter");
   vip.priority = 5;
-  serve::InsightResponse vip_resp = engine.Submit(std::move(vip)).get();
+  serve::InsightResponse vip_resp = engine.Submit(vip).get();
   EXPECT_EQ(vip_resp.error, serve::ErrorCode::kOk) << vip_resp.error_message;
+  EXPECT_TRUE(engine.brownout_active());
   engine.Stop();
+
+  // ...and gets the answer an engine that never browned out gives: that is
+  // the body the cache replays once brownout ends.
+  serve::ServeEngine calm(ReloadedBundle(), FastServeOptions());
+  serve::InsightResponse calm_resp = calm.Handle(std::move(vip));
+  ASSERT_EQ(calm_resp.error, serve::ErrorCode::kOk) << calm_resp.error_message;
+  EXPECT_EQ(serve::EncodeResponseBody(vip_resp), serve::EncodeResponseBody(calm_resp));
 }
 
 // ---- shutdown drain race ----

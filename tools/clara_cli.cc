@@ -92,8 +92,8 @@ int Usage() {
                "                             serve.* metrics show up in the registry.\n"
                "  --threads=N                worker threads for parallel phases\n"
                "                             (default: CLARA_THREADS or all cores)\n"
-               "  --infer=f64|f32|int8       LSTM inference backend for insights/report\n"
-               "                             (default f64; f32/int8 use the SIMD engine)\n");
+               "  --infer=f64|f32            LSTM inference backend for insights/report\n"
+               "                             (default f64; f32 uses the SIMD engine)\n");
   return 2;
 }
 

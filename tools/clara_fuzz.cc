@@ -642,63 +642,6 @@ int ServeFuzz(uint64_t seed, int iters, const std::string& corpus_out) {
   return failures == 0 ? 0 : 1;
 }
 
-// Writes the checked-in quantized-frame corpus: an artifact whose optional
-// trailing CLRQ frame is intact, truncated, and CRC-corrupted. The replay
-// invariant (CheckServeBytes) requires the intact case to load and
-// round-trip and the damaged ones to be rejected gracefully — never to
-// degrade into silently serving requantized weights.
-int EmitQuantizedCorpus(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  std::string bytes = serve::SerializeBundle(TrainedBundle{});
-  // Offset of the CLRQ frame: main header (magic 4 + version 2 + crc 4 +
-  // size 4) + main payload.
-  uint32_t payload_size = 0;
-  std::memcpy(&payload_size, bytes.data() + 10, 4);
-  size_t quant_start = 14 + payload_size;
-  if (quant_start + 14 >= bytes.size()) {
-    std::fprintf(stderr, "emit-quantized-corpus: artifact has no quantized frame\n");
-    return 1;
-  }
-
-  std::string truncated = bytes.substr(0, bytes.size() - 3);
-  std::string badcrc = bytes;
-  badcrc[quant_start + 14] ^= 0x11;  // first byte of the frame payload
-
-  struct Case {
-    const char* file;
-    const std::string* bytes;
-    const char* note;
-  } cases[] = {
-      {"serve_quantized_bundle.case", &bytes,
-       "artifact with intact optional quantized-weights (CLRQ) frame"},
-      {"serve_quantized_bundle_truncated.case", &truncated,
-       "quantized frame truncated mid-payload; loader must reject"},
-      {"serve_quantized_bundle_badcrc.case", &badcrc,
-       "quantized frame payload corrupted; CRC check must reject"},
-  };
-  for (const Case& c : cases) {
-    std::string why;
-    if (!CheckServeBytes("artifact", *c.bytes, &why)) {
-      std::fprintf(stderr, "emit-quantized-corpus: %s violates the invariant: %s\n",
-                   c.file, why.c_str());
-      return 1;
-    }
-    FuzzCase fc;
-    fc.kind = "serve";
-    fc.target = "artifact";
-    fc.hex = HexEncode(*c.bytes);
-    fc.note = c.note;
-    std::string path = dir + "/" + c.file;
-    if (!WriteCaseFile(fc, path)) {
-      std::fprintf(stderr, "emit-quantized-corpus: cannot write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu bytes)\n", path.c_str(), c.bytes->size());
-  }
-  return 0;
-}
-
 // ---- modes ----
 
 int ReplayPath(const std::string& path, bool dump) {
@@ -829,7 +772,7 @@ int main(int argc, char** argv) {
   uint32_t pkts = 32;
   bool dump = false;
   bool serve_fuzz = false;
-  std::string replay, corpus_out, emit_quantized;
+  std::string replay, corpus_out;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     auto val = [&a](const char* pfx) { return a.substr(std::strlen(pfx)); };
@@ -847,19 +790,13 @@ int main(int argc, char** argv) {
       replay = val("--replay=");
     } else if (a.rfind("--corpus-out=", 0) == 0) {
       corpus_out = val("--corpus-out=");
-    } else if (a.rfind("--emit-quantized-corpus=", 0) == 0) {
-      emit_quantized = val("--emit-quantized-corpus=");
     } else {
       std::fprintf(stderr,
                    "usage: clara_fuzz [--iters=N] [--seed=S] [--pkts=M]\n"
                    "                  [--corpus-out=DIR] [--replay=FILE|DIR]\n"
-                   "                  [--serve-fuzz]\n"
-                   "                  [--emit-quantized-corpus=DIR]\n");
+                   "                  [--serve-fuzz]\n");
       return 2;
     }
-  }
-  if (!emit_quantized.empty()) {
-    return clara::EmitQuantizedCorpus(emit_quantized);
   }
   if (!replay.empty()) {
     return clara::ReplayPath(replay, dump);

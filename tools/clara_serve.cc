@@ -40,7 +40,8 @@
 //     envelope's "fault" object.
 //   * --slo-p99-us also arms brownout degradation: when the rolling p99
 //     blows the budget the engine sheds low-priority work with kShedded +
-//     retry hints and drops to int8 inference until the window recovers.
+//     retry hints until the window recovers. Inference keeps the --infer
+//     backend, so every answer it does give is the one it gives unloaded.
 //
 // Telemetry plane:
 //   * Control frames (stats/health/dump/reload) are answered immediately,
@@ -297,7 +298,7 @@ int Usage() {
                "                   [--max-outbound-bytes=N] [--max-conns=N]\n"
                "                   [--queue=N] [--batch=N] [--cache=N]\n"
                "                   [--profile-packets=N]\n"
-               "                   [--infer=f64|f32|int8]\n"
+               "                   [--infer=f64|f32]\n"
                "                   [--metrics-json=FILE] [--trace=FILE]\n"
                "                   [--slo-p99-us=X] [--slo-window-ms=N] [--flight=N]\n"
                "                   [--metrics-jsonl=FILE] [--metrics-interval=MS]\n"
