@@ -219,7 +219,7 @@ TEST(InferEngineTest, ParseAndNameRoundTrip) {
   EXPECT_FALSE(ParseInferBackend("fp16", &b));
   EXPECT_EQ(InferBackend::kF64, b);  // untouched on failure
   b = InferBackend::kF32;
-  EXPECT_FALSE(ParseInferBackend("int8", &b));  // the int8 backend is gone
+  EXPECT_FALSE(ParseInferBackend("int8", &b));
   EXPECT_EQ(InferBackend::kF32, b);
   EXPECT_STREQ("f64", InferBackendName(InferBackend::kF64));
   EXPECT_STREQ("f32", InferBackendName(InferBackend::kF32));
