@@ -154,12 +154,14 @@ const std::map<std::string, std::array<uint64_t, 4>>& GoldenDigests() {
   return kGolden;
 }
 
-TEST_P(ElementSuiteTest, ProfileAndPacketsMatchGoldenDigests) {
-  auto golden = GoldenDigests().find(GetParam());
+// Runs 2000 packets of each preset through a fresh instance of `make()` and
+// checks the four digests against `golden` (nullptr: none recorded).
+void ExpectGoldenDigests(const std::string& name, Program (*make)(const std::string&),
+                         const std::array<uint64_t, 4>* golden) {
   const WorkloadSpec specs[] = {WorkloadSpec::SmallFlows(), WorkloadSpec::LargeFlows()};
   std::array<uint64_t, 4> got{};
   for (int i = 0; i < 2; ++i) {
-    NfInstance nf(MakeElementByName(GetParam()));
+    NfInstance nf(make(name));
     ASSERT_TRUE(nf.ok()) << nf.error();
     Trace t = GenerateTrace(specs[i], 2000);
     Digest packets;
@@ -173,11 +175,17 @@ TEST_P(ElementSuiteTest, ProfileAndPacketsMatchGoldenDigests) {
   }
   char row[160];
   std::snprintf(row, sizeof(row), "{\"%s\", {0x%016llx, 0x%016llx, 0x%016llx, 0x%016llx}}",
-                GetParam().c_str(), static_cast<unsigned long long>(got[0]),
+                name.c_str(), static_cast<unsigned long long>(got[0]),
                 static_cast<unsigned long long>(got[1]), static_cast<unsigned long long>(got[2]),
                 static_cast<unsigned long long>(got[3]));
-  ASSERT_NE(golden, GoldenDigests().end()) << "no golden digests; computed " << row;
-  EXPECT_EQ(got, golden->second) << "computed " << row;
+  ASSERT_NE(golden, nullptr) << "no golden digests; computed " << row;
+  EXPECT_EQ(got, *golden) << "computed " << row;
+}
+
+TEST_P(ElementSuiteTest, ProfileAndPacketsMatchGoldenDigests) {
+  auto golden = GoldenDigests().find(GetParam());
+  ExpectGoldenDigests(GetParam(), &MakeElementByName,
+                      golden == GoldenDigests().end() ? nullptr : &golden->second);
 }
 
 TEST_P(ElementSuiteTest, SourceRendersAndHasReasonableSize) {
@@ -196,6 +204,247 @@ std::vector<std::string> AllElementNames() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, ElementSuiteTest, ::testing::ValuesIn(AllElementNames()),
+                         [](const auto& info) { return info.param; });
+
+// ---- language constructs no registry element runs ----
+
+template <typename... S>
+std::vector<StmtPtr> Stmts(S... stmts) {
+  std::vector<StmtPtr> body;
+  (body.push_back(std::move(stmts)), ...);
+  return body;
+}
+
+template <typename... E>
+std::vector<ExprPtr> Exprs(E... exprs) {
+  std::vector<ExprPtr> args;
+  (args.push_back(std::move(exprs)), ...);
+  return args;
+}
+
+StateDecl Scalar(const std::string& name, Type t) {
+  StateDecl d;
+  d.name = name;
+  d.elem_type = t;
+  return d;
+}
+
+StateDecl Array(const std::string& name, Type t, uint32_t length) {
+  StateDecl d = Scalar(name, t);
+  d.kind = StateKind::kArray;
+  d.length = length;
+  return d;
+}
+
+// Signed and unsigned division and shifts: AShr at three widths (sign bit
+// set), UDiv and URem by a divisor that is zero for an eighth of the flows,
+// shift amounts at and beyond the type width, and icmp.ule as a branch and
+// as a value.
+Program ArithConstructs() {
+  Program p;
+  p.name = "k_arith";
+  p.state.push_back(Scalar("acc", Type::kI64));
+  p.state.push_back(Scalar("ule_hits", Type::kI32));
+  p.state.push_back(Array("hist", Type::kI16, 10));
+  p.body = Stmts(
+      Decl("a", Type::kI32, PktField("ip.src")),
+      Decl("b", Type::kI8, Bin(Opcode::kAnd, PktField("tcp.sport"), Lit(7))),
+      Decl("q", Type::kI32, Bin(Opcode::kUDiv, Local("a"), Local("b"))),
+      Decl("r", Type::kI32, Bin(Opcode::kURem, Local("a"), Local("b"))),
+      Decl("s32", Type::kI32,
+           Bin(Opcode::kAShr, Bin(Opcode::kOr, Local("a"), Lit(0x80000000ULL)), Local("b"))),
+      Decl("s8", Type::kI8,
+           Bin(Opcode::kAShr, CastTo(Type::kI8, PktField("ip.src")), Lit(3, Type::kI8))),
+      Decl("s64", Type::kI64,
+           Bin(Opcode::kAShr,
+               Bin(Opcode::kOr, CastTo(Type::kI64, Local("a")),
+                   Lit(0x8000000000000000ULL, Type::kI64)),
+               Bin(Opcode::kAdd, CastTo(Type::kI64, Local("b")), Lit(1, Type::kI64)))),
+      Decl("wide", Type::kI32,
+           Bin(Opcode::kXor, Bin(Opcode::kShl, Local("a"), Lit(35)),
+               Bin(Opcode::kAShr, Local("s32"), Lit(32)))),
+      Decl("narrow", Type::kI16,
+           Bin(Opcode::kOr, Bin(Opcode::kLShr, CastTo(Type::kI8, Local("a")), Lit(9, Type::kI8)),
+               Bin(Opcode::kShl, CastTo(Type::kI16, Local("a")), Lit(16, Type::kI16)))),
+      Decl("le", Type::kI8, Cmp(Opcode::kIcmpUle, Local("q"), Local("r"))),
+      If(Cmp(Opcode::kIcmpUle, Local("b"), Lit(3)),
+         Stmts(AssignState("ule_hits", Bin(Opcode::kAdd, StateRef("ule_hits"), Lit(1))))),
+      AssignStateAt("hist", Bin(Opcode::kURem, Local("a"), Lit(10)),
+                    Bin(Opcode::kAdd, StateAt("hist", Bin(Opcode::kURem, Local("a"), Lit(10))),
+                        Local("s8"))),
+      AssignState("acc",
+                  Bin(Opcode::kXor,
+                      Bin(Opcode::kMul, StateRef("acc"), Lit(0x100000001b3ULL, Type::kI64)),
+                      Bin(Opcode::kAdd,
+                          Bin(Opcode::kAdd, CastTo(Type::kI64, Local("q")), Local("s64")),
+                          CastTo(Type::kI64, Bin(Opcode::kSub, Local("r"), Local("wide")))))),
+      AssignPkt("ip.tos", Local("s32")),
+      AssignPkt("ip.ttl", Bin(Opcode::kAdd, Local("narrow"), Local("le"))),
+      AssignPkt("tcp.ack", Bin(Opcode::kXor, Local("q"), Local("r"))),
+      AssignPayload(Lit(3), Local("s8")),
+      Send(Bin(Opcode::kAnd, Local("b"), Lit(1))));
+  return p;
+}
+
+// Loop control flow: a loop that hits the runaway backstop (once per
+// instance), a loop variable written in its own body, a loop bound that
+// reads state, returns and drops from inside (nested) loops, and a statement
+// after a return that never runs.
+Program LoopConstructs() {
+  Program p;
+  p.name = "k_loops";
+  p.state.push_back(Scalar("seen", Type::kI32));
+  p.state.push_back(Scalar("total", Type::kI64));
+  p.state.push_back(Array("trail", Type::kI32, 8));
+  p.body = Stmts(
+      If(Cmp(Opcode::kIcmpEq, StateRef("seen"), Lit(0)),
+         Stmts(AssignState("seen", Lit(1)),
+               For("w", Lit(0), Lit(0xffffffffULL),
+                   Stmts(AssignState("total", Bin(Opcode::kAdd, StateRef("total"), Lit(1))))))),
+      For("i", Lit(0), Lit(20),
+          Stmts(AssignStateAt("trail", Local("i"), Local("i")),
+                Assign("i", Bin(Opcode::kAdd, Local("i"),
+                                Bin(Opcode::kAnd, PktField("ip.src"), Lit(3)))))),
+      For("t", Lit(0), Bin(Opcode::kAnd, StateAt("trail", Lit(2)), Lit(7)),
+          Stmts(AssignState("total", Bin(Opcode::kAdd, StateRef("total"), Local("t"))))),
+      For("k", Lit(0), Lit(4),
+          Stmts(For("m", Lit(0), Lit(4),
+                    Stmts(If(Cmp(Opcode::kIcmpEq,
+                                 Bin(Opcode::kAdd, Bin(Opcode::kMul, Local("k"), Lit(4)),
+                                     Local("m")),
+                                 Bin(Opcode::kAnd, PktField("tcp.seq"), Lit(63))),
+                             Stmts(AssignPkt("ip.ttl", Local("m")), Drop())))))),
+      For("j", Lit(0), Lit(16),
+          Stmts(If(Cmp(Opcode::kIcmpEq, Local("j"),
+                       Bin(Opcode::kAnd, PktField("tcp.sport"), Lit(31))),
+                   Stmts(AssignPkt("ip.tos", Local("j")), Return(),
+                         AssignPkt("ip.ttl", Lit(1)))),
+                AssignState("total", Bin(Opcode::kAdd, StateRef("total"), Local("j"))))),
+      AssignPkt("tcp.ack", CastTo(Type::kI32, StateRef("total"))),
+      Send(Lit(1)));
+  return p;
+}
+
+// Framework calls: rand as a value and in a branch, value-returning calls
+// with more than two arguments nested inside expressions, a void call with
+// three arguments, an API the interpreter does not know, and a call whose
+// packet write an enclosing expression has already read around.
+Program CallConstructs() {
+  Program p;
+  p.name = "k_calls";
+  p.state.push_back(Scalar("r", Type::kI32));
+  p.state.push_back(Scalar("mix", Type::kI64));
+  p.body = Stmts(
+      Api("ip_header"),
+      Decl("x", Type::kI32, CallExpr("rand", {}, Type::kI32)),
+      AssignState("r", Bin(Opcode::kXor, StateRef("r"), Local("x"))),
+      Decl("h", Type::kI32,
+           Bin(Opcode::kAdd,
+               CallExpr("crc_hash_hw",
+                        Exprs(PktField("ip.src"), PktField("ip.dst"),
+                              CallExpr("rand", {}, Type::kI32)),
+                        Type::kI32),
+               Lit(7))),
+      Api("flow_cache_put",
+          Exprs(Bin(Opcode::kAnd, Local("h"), Lit(63)), PktField("tcp.sport"), Lit(9))),
+      Decl("g", Type::kI32,
+           Bin(Opcode::kMul,
+               CallExpr("flow_cache_get", Exprs(Bin(Opcode::kAnd, Local("x"), Lit(63))),
+                        Type::kI32),
+               Lit(3))),
+      Decl("u", Type::kI16,
+           CallExpr("unknown_hw", Exprs(Local("x"), Local("h"), Local("g"), Lit(4)),
+                    Type::kI16)),
+      Decl("c8", Type::kI8, CallExpr("crc32_hw", Exprs(Lit(20)), Type::kI8)),
+      AssignPkt("ip.csum", Lit(0)),
+      AssignPkt("tcp.csum", Bin(Opcode::kAdd, PktField("ip.csum"),
+                                CallExpr("checksum_update", {}, Type::kI16))),
+      AssignState("mix", Bin(Opcode::kAdd, StateRef("mix"),
+                             CastTo(Type::kI64, Bin(Opcode::kXor, Local("g"),
+                                                    Bin(Opcode::kAdd, Local("u"),
+                                                        Local("c8")))))),
+      If(Cmp(Opcode::kIcmpUlt, Bin(Opcode::kAnd, CallExpr("rand", {}, Type::kI32), Lit(255)),
+             Lit(40)),
+         Stmts(Drop())),
+      AssignPkt("tcp.ack", Bin(Opcode::kXor, Local("h"), CastTo(Type::kI32, StateRef("mix")))),
+      Send(Bin(Opcode::kAnd, Local("h"), Lit(3))));
+  return p;
+}
+
+// Map operations: erase, and a host linear-probe map keyed on three fields
+// of different widths, small enough to wrap, fill and exhaust its probes,
+// next to a NIC fixed-bucket map and a find with no outputs.
+Program MapConstructs() {
+  Program p;
+  p.name = "k_maps";
+  StateDecl conn;
+  conn.name = "conn";
+  conn.kind = StateKind::kMap;
+  conn.key_fields = {Type::kI32, Type::kI16, Type::kI8};
+  conn.value_fields = {{"cnt", Type::kI32}, {"last", Type::kI64}};
+  conn.capacity = 97;
+  conn.impl = MapImpl::kHostLinearProbe;
+  p.state.push_back(conn);
+  StateDecl recent;
+  recent.name = "recent";
+  recent.kind = StateKind::kMap;
+  recent.key_fields = {Type::kI32};
+  recent.value_fields = {{"v", Type::kI16}};
+  recent.capacity = 64;
+  p.state.push_back(recent);
+  auto conn_key = [] {
+    return Exprs(PktField("ip.src"), PktField("tcp.sport"), PktField("ip.proto"));
+  };
+  p.body = Stmts(
+      MapFind("conn", conn_key(), "hit", {"cnt", "last"}),
+      If(Cmp(Opcode::kIcmpNe, Local("hit"), Lit(0)),
+         Stmts(If(Cmp(Opcode::kIcmpUge, Local("cnt"), Lit(3)), Stmts(MapErase("conn", conn_key())),
+                  Stmts(MapInsert("conn", conn_key(),
+                                  Exprs(Bin(Opcode::kAdd, Local("cnt"), Lit(1)),
+                                        PktField("pkt.ts")))))),
+         Stmts(MapInsert("conn", conn_key(), Exprs(Lit(1), PktField("pkt.ts"))))),
+      MapFind("recent", Exprs(PktField("ip.dst")), "rh", {"v"}),
+      If(Local("rh"), Stmts(MapErase("recent", Exprs(PktField("ip.dst")))),
+         Stmts(MapInsert("recent", Exprs(PktField("ip.dst")), Exprs(PktField("tcp.sport"))))),
+      MapFind("recent", Exprs(PktField("ip.src")), "", {}),
+      AssignPkt("tcp.ack", Bin(Opcode::kAdd, Local("cnt"), CastTo(Type::kI32, Local("last")))),
+      AssignPkt("ip.tos", Local("v")),
+      Send(Local("hit")));
+  return p;
+}
+
+Program MakeConstruct(const std::string& name) {
+  if (name == "k_arith") return ArithConstructs();
+  if (name == "k_loops") return LoopConstructs();
+  if (name == "k_calls") return CallConstructs();
+  return MapConstructs();
+}
+
+// Recorded from the tree-walking interpreter, like GoldenDigests().
+const std::map<std::string, std::array<uint64_t, 4>>& ConstructDigests() {
+  static const std::map<std::string, std::array<uint64_t, 4>> kGolden = {
+      {"k_arith",
+       {0xd7a0dcbb49b2b27a, 0x4d0e9e3e2892b191, 0x2e5fbb4990fcc2d2, 0x154be6f5055bc312}},
+      {"k_calls",
+       {0xfbac529dbd971df9, 0x3a083930286b04f1, 0xfbac529dbd971df9, 0x7b22ef999ffe5cb1}},
+      {"k_loops",
+       {0xee584b3f4b0da18b, 0xb49d59480891239e, 0x3a3c448485be51e5, 0x404efb4fd22b2f7a}},
+      {"k_maps",
+       {0xc0b28d1310ee9c41, 0xf9bfd39758ead6dc, 0x307b0903e2c96958, 0xd493fa1c456d857d}},
+  };
+  return kGolden;
+}
+
+class ConstructDigestTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ConstructDigestTest, ProfileAndPacketsMatchGoldenDigests) {
+  auto golden = ConstructDigests().find(GetParam());
+  ExpectGoldenDigests(GetParam(), &MakeConstruct,
+                      golden == ConstructDigests().end() ? nullptr : &golden->second);
+}
+
+INSTANTIATE_TEST_SUITE_P(Constructs, ConstructDigestTest,
+                         ::testing::Values("k_arith", "k_loops", "k_calls", "k_maps"),
                          [](const auto& info) { return info.param; });
 
 TEST(Elements, RegistryComplete) {
