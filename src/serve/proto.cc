@@ -1,5 +1,6 @@
 #include "src/serve/proto.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "src/util/binio.h"
@@ -26,7 +27,7 @@ void EncodeWorkload(BinWriter& w, const WorkloadSpec& spec) {
   w.U64(spec.seed);
 }
 
-bool DecodeWorkload(BinReader& r, WorkloadSpec* spec) {
+bool DecodeWorkload(BinReader& r, WorkloadSpec* spec, std::string* error) {
   spec->name = r.Str();
   spec->num_flows = r.U32();
   spec->zipf_s = r.F64();
@@ -34,7 +35,21 @@ bool DecodeWorkload(BinReader& r, WorkloadSpec* spec) {
   spec->syn_ratio = r.F64();
   spec->udp_fraction = r.F64();
   spec->seed = r.U64();
-  return r.ok();
+  if (!r.ok()) {
+    *error = "request: " + r.error();
+    return false;
+  }
+  if (spec->num_flows == 0 || spec->num_flows > kMaxRequestFlows) {
+    *error = "request: workload num_flows must be in [1, " +
+             std::to_string(kMaxRequestFlows) + "]";
+    return false;
+  }
+  if (!std::isfinite(spec->zipf_s) || !std::isfinite(spec->syn_ratio) ||
+      !std::isfinite(spec->udp_fraction)) {
+    *error = "request: workload zipf_s, syn_ratio and udp_fraction must be finite";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -127,8 +142,7 @@ bool ParseRequest(std::string_view payload, InsightRequest* out, std::string* er
   req.id = r.U64();
   req.element = r.Str();
   req.source = r.Str();
-  if (!DecodeWorkload(r, &req.workload)) {
-    *error = "request: " + r.error();
+  if (!DecodeWorkload(r, &req.workload, error)) {
     return false;
   }
   req.deadline_ms = r.U32();

@@ -169,7 +169,14 @@ bool ParseControlResponse(std::string_view payload, ControlResponse* out,
 
 // ---- payload codecs ----
 std::string EncodeRequest(const InsightRequest& req);
+// Rejects, besides malformed bytes, a workload the trace generator cannot
+// run: no flows, more than kMaxRequestFlows, or a non-finite zipf_s,
+// syn_ratio or udp_fraction.
 bool ParseRequest(std::string_view payload, InsightRequest* out, std::string* error);
+
+// The most flows a request may ask for. A skewed workload's Zipf table holds
+// one double per flow (8 MiB at this bound) and stays cached after the miss.
+inline constexpr uint32_t kMaxRequestFlows = 1u << 20;
 
 std::string EncodeResponse(const InsightResponse& resp);
 // The portion of the encoding after the id — the serve cache's unit. Never

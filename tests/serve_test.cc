@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -600,6 +602,34 @@ TEST(Engine, StructuredErrorsNeverCrash) {
   std::string error;
   ASSERT_TRUE(serve::ParseResponse(encoded, &decoded, &error)) << error;
   EXPECT_EQ(decoded.error, serve::ErrorCode::kBadRequest);
+}
+
+TEST(Engine, UnrunnableWorkloadIsABadRequestAndServingContinues) {
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  auto answer = [&](const serve::InsightRequest& req) {
+    serve::InsightResponse resp;
+    std::string error;
+    EXPECT_TRUE(serve::ParseResponse(engine.HandlePayload(serve::EncodeRequest(req)), &resp,
+                                     &error))
+        << error;
+    return resp;
+  };
+  std::vector<serve::InsightRequest> bad(5, ElementRequest(1, "aggcounter"));
+  bad[0].workload.num_flows = 0;  // zipf_s > 0: sampling an empty table
+  bad[1].workload.num_flows = serve::kMaxRequestFlows + 1;
+  bad[2].workload.zipf_s = std::nan("");
+  bad[3].workload.syn_ratio = std::numeric_limits<double>::infinity();
+  bad[4].workload.udp_fraction = -std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < bad.size(); ++i) {
+    serve::InsightResponse resp = answer(bad[i]);
+    EXPECT_EQ(resp.error, serve::ErrorCode::kBadRequest) << "request " << i;
+    EXPECT_NE(resp.error_message.find("workload"), std::string::npos) << resp.error_message;
+  }
+  serve::InsightRequest edge = ElementRequest(2, "aggcounter");
+  edge.workload.num_flows = serve::kMaxRequestFlows;
+  serve::InsightResponse ok = answer(edge);
+  EXPECT_EQ(ok.error, serve::ErrorCode::kOk) << ok.error_message;
+  EXPECT_EQ(ok.id, 2u);
 }
 
 // ---- telemetry wire extensions ----

@@ -507,7 +507,7 @@ std::string BaseServeBytes(Rng& rng, const std::string& target,
     req.id = rng.NextU64();
     req.element = RandomBytes(rng, 24);
     req.source = RandomBytes(rng, 120);
-    req.workload.num_flows = static_cast<uint32_t>(rng.NextU64());
+    req.workload.num_flows = static_cast<uint32_t>(1 + rng.NextBounded(serve::kMaxRequestFlows));
     req.workload.zipf_s = rng.NextDouble();
     req.workload.seed = rng.NextU64();
     req.deadline_ms = static_cast<uint32_t>(rng.NextBounded(5000));
