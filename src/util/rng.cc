@@ -109,6 +109,9 @@ ZipfSampler::ZipfSampler(size_t n, double s) {
 
 size_t ZipfSampler::Sample(Rng& rng) const {
   double r = rng.NextDouble();
+  if (cdf_.empty()) {
+    return 0;
+  }
   size_t lo = 0;
   size_t hi = cdf_.size() - 1;
   while (lo < hi) {

@@ -48,7 +48,8 @@ class Rng {
 };
 
 // Zipf(s) sampler over ranks [0, n). Used by the workload generator for
-// skewed flow popularity. Precomputes the CDF at construction.
+// skewed flow popularity. Precomputes the CDF at construction; with n = 0
+// every sample is rank 0.
 class ZipfSampler {
  public:
   ZipfSampler(size_t n, double s);

@@ -1,9 +1,63 @@
 #include "src/workload/workload.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
+#include <mutex>
 
 namespace clara {
+namespace {
+
+// The Zipf tables of the last few (num_flows, s) pairs, shared by every
+// GenerateTrace call in the process. Building a table sums num_flows pow()
+// terms (65,536 for SmallFlows), yet it depends only on those two numbers.
+// Callers hold their table by shared_ptr, so evicting an entry never frees a
+// table that is still sampling.
+std::shared_ptr<const ZipfSampler> SharedZipfSampler(uint32_t n, double s) {
+  struct Entry {
+    uint32_t n;
+    uint64_t s_bits;  // bit pattern: a NaN exponent still finds its entry
+    std::shared_ptr<const ZipfSampler> sampler;
+  };
+  struct Table {
+    std::mutex mu;
+    std::vector<Entry> entries;  // least recently used first
+  };
+  static constexpr size_t kEntries = 4;
+  static Table* table = new Table();  // never destroyed: threads may outlive main
+  const uint64_t s_bits = std::bit_cast<uint64_t>(s);
+  auto find = [&]() -> std::shared_ptr<const ZipfSampler> {
+    auto& entries = table->entries;
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+      if (it->n == n && it->s_bits == s_bits) {
+        std::rotate(it, it + 1, entries.end());
+        return entries.back().sampler;
+      }
+    }
+    return nullptr;
+  };
+  {
+    std::lock_guard<std::mutex> lock(table->mu);
+    if (auto hit = find()) {
+      return hit;
+    }
+  }
+  // Built outside the lock, so a miss does not stall other generators. Two
+  // threads that miss on the same key both build it; the first one kept wins.
+  auto built = std::make_shared<const ZipfSampler>(n, s);
+  std::lock_guard<std::mutex> lock(table->mu);
+  if (auto hit = find()) {
+    return hit;
+  }
+  if (table->entries.size() == kEntries) {
+    table->entries.erase(table->entries.begin());
+  }
+  table->entries.push_back(Entry{n, s_bits, built});
+  return built;
+}
+
+}  // namespace
 
 WorkloadSpec WorkloadSpec::LargeFlows(uint16_t pkt_size) {
   WorkloadSpec s;
@@ -53,12 +107,13 @@ Trace GenerateTrace(const WorkloadSpec& spec, size_t n_packets) {
   t.spec = spec;
   t.packets.reserve(n_packets);
   Rng rng(spec.seed);
-  ZipfSampler zipf(spec.num_flows, std::max(spec.zipf_s, 1e-6));
+  const bool uniform = spec.zipf_s <= 0.0;
+  std::shared_ptr<const ZipfSampler> zipf =
+      uniform ? nullptr : SharedZipfSampler(spec.num_flows, std::max(spec.zipf_s, 1e-6));
   uint64_t ts = 0;
   for (size_t i = 0; i < n_packets; ++i) {
-    uint32_t flow = spec.zipf_s <= 0.0
-                        ? static_cast<uint32_t>(rng.NextBounded(spec.num_flows))
-                        : static_cast<uint32_t>(zipf.Sample(rng));
+    uint32_t flow = uniform ? static_cast<uint32_t>(rng.NextBounded(spec.num_flows))
+                            : static_cast<uint32_t>(zipf->Sample(rng));
     Packet p = MakeFlowPacket(spec, flow, rng);
     if (p.ip_proto == kProtoTcp && rng.NextBool(spec.syn_ratio)) {
       p.tcp_flags = kTcpSyn;

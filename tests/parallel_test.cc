@@ -17,6 +17,7 @@
 #include "src/ml/lstm.h"
 #include "src/nic/backend.h"
 #include "src/util/rng.h"
+#include "src/workload/workload.h"
 
 namespace clara {
 namespace {
@@ -230,6 +231,50 @@ TEST(DeterminismTest, AutoMlBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(std::memcmp(&r1.cv_error, &r8.cv_error, sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(&y1, &y2, sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(&y1, &y8, sizeof(double)), 0);
+}
+
+// Every field GenerateTrace sets, packet by packet.
+std::vector<uint64_t> TraceFields(const Trace& t) {
+  std::vector<uint64_t> out;
+  for (const Packet& p : t.packets) {
+    out.insert(out.end(), {p.src_ip, p.dst_ip, p.sport, p.dport, p.ip_proto, p.ip_len,
+                           p.payload_len, p.wire_len, p.tcp_flags, p.tcp_seq, p.ts_ns});
+    out.insert(out.end(), p.payload.begin(), p.payload.end());
+  }
+  return out;
+}
+
+// GenerateTrace takes its Zipf table from a small process-wide table
+// (src/workload/workload.cc). Ten distinct skewed specs, each requested
+// twice, cycle through more entries than it keeps; every thread count must
+// still produce the serial traces.
+TEST(SharedZipfTableTest, ParallelTracesEqualSerialTraces) {
+  ThreadGuard guard;
+  std::vector<WorkloadSpec> specs;
+  for (uint32_t flows : {64u, 1000u, 4096u, 65536u, 100000u}) {
+    for (double s : {0.4, 1.1}) {
+      WorkloadSpec spec;
+      spec.num_flows = flows;
+      spec.zipf_s = s;
+      spec.seed = flows + specs.size();
+      specs.push_back(spec);
+    }
+  }
+  std::vector<std::vector<uint64_t>> serial;
+  for (const WorkloadSpec& spec : specs) {
+    serial.push_back(TraceFields(GenerateTrace(spec, 200)));
+  }
+  for (int threads : {1, 2, 8}) {
+    SetNumThreads(threads);
+    std::vector<std::vector<uint64_t>> got =
+        ParallelMap<std::vector<uint64_t>>(2 * specs.size(), [&](size_t i) {
+          return TraceFields(GenerateTrace(specs[i % specs.size()], 200));
+        });
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], serial[i % specs.size()])
+          << "threads " << threads << ", spec " << i % specs.size();
+    }
+  }
 }
 
 TEST(CompileCacheTest, SecondCompileHitsCache) {
