@@ -5,8 +5,9 @@
 // Element::simple_action. The same AST serves three purposes:
 //   1. It is lowered to Clara IR (src/lang/lower.h) with optimizations off,
 //      yielding the uniform representation of paper §3.1.
-//   2. It is executed directly by the interpreter (src/lang/interp.h) for
-//      trace-driven, workload-specific profiling (paper §4.3/§4.4).
+//   2. The interpreter (src/lang/interp.h) compiles it into a register
+//      program and runs that for trace-driven, workload-specific profiling
+//      (paper §4.3/§4.4).
 //   3. It is the target of the program synthesizer (src/synth).
 //
 // Stateful map operations are not calls: lowering expands them inline with

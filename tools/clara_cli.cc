@@ -86,8 +86,8 @@ int Usage() {
                "                             checksummed bundle there once; `insights`\n"
                "                             then loads it and skips in-process training\n"
                "                             entirely (typically 10-100x faster end to\n"
-               "                             end; see bench/baselines/BENCH_serve_latency\n"
-               "                             .json for measured cold-vs-warm numbers).\n"
+               "                             end; bench/serve_latency prints measured\n"
+               "                             cold-vs-warm numbers).\n"
                "                             `report` uses it to run the serve engine so\n"
                "                             serve.* metrics show up in the registry.\n"
                "  --threads=N                worker threads for parallel phases\n"
