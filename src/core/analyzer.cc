@@ -126,22 +126,28 @@ void ClaraAnalyzer::Train(const std::vector<const Program*>& click_corpus) {
 }
 
 OffloadingInsights ClaraAnalyzer::Analyze(Program program, const WorkloadSpec& workload) const {
-  return Analyze(std::move(program), workload, nullptr);
-}
-
-OffloadingInsights ClaraAnalyzer::Analyze(Program program, const WorkloadSpec& workload,
-                                          const NfPrediction* precomputed) const {
   obs::StageTimer analyze_timer("core.analyzer.analyze", "core.analyzer.stage_ms.analyze");
-  OffloadingInsights out;
-  out.nf_name = program.name;
-
   NfInstance nf = [&] {
     obs::StageTimer t("core.analyzer.lower", "core.analyzer.stage_ms.lower");
     return NfInstance(std::move(program));
   }();
   if (!nf.ok()) {
+    OffloadingInsights out;
+    out.nf_name = nf.program().name;
     return out;
   }
+  NfPrediction prediction = [&] {
+    obs::StageTimer t("core.analyzer.predict", "core.analyzer.stage_ms.predict");
+    return predictor_.PredictNf(nf.module());
+  }();
+  return Analyze(nf, workload, std::move(prediction));
+}
+
+OffloadingInsights ClaraAnalyzer::Analyze(NfInstance& nf, const WorkloadSpec& workload,
+                                          NfPrediction prediction) const {
+  OffloadingInsights out;
+  out.nf_name = nf.program().name;
+  out.prediction = std::move(prediction);
   {
     // Workload-specific profiling on the host (paper §4.3: run the NF with
     // its reverse-ported data structures on the specified workload).
@@ -152,13 +158,6 @@ OffloadingInsights ClaraAnalyzer::Analyze(Program program, const WorkloadSpec& w
     }
   }
   const Module& m = nf.module();
-
-  if (precomputed != nullptr) {
-    out.prediction = *precomputed;
-  } else {
-    obs::StageTimer t("core.analyzer.predict", "core.analyzer.stage_ms.predict");
-    out.prediction = predictor_.PredictNf(m);
-  }
   {
     obs::StageTimer t("core.analyzer.classify", "core.analyzer.stage_ms.classify");
     out.accelerator = algo_id_.Classify(m);

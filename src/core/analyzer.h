@@ -18,6 +18,8 @@
 
 namespace clara {
 
+class NfInstance;
+
 struct OffloadingInsights {
   std::string nf_name;
   // §3: predicted performance parameters.
@@ -86,16 +88,19 @@ class ClaraAnalyzer {
   // Copies the trained components out for persistence.
   TrainedBundle ExportTrained() const;
 
-  // Full analysis of an unported NF under a workload. Takes the program by
-  // value (analysis owns and annotates it).
+  // Full analysis of an unported NF under a workload: lowers the program
+  // once into an NfInstance, predicts its blocks' NIC cost (PredictNf), then
+  // runs the overload below. A program that does not lower yields insights
+  // that carry only its name.
   OffloadingInsights Analyze(Program program, const WorkloadSpec& workload) const;
 
-  // Analyze with an externally computed instruction prediction (the serving
-  // engine micro-batches per-block LSTM inference across requests and feeds
-  // the assembled predictions here). `precomputed` must match the lowered
-  // module of `program`; passing nullptr falls back to inline prediction.
-  OffloadingInsights Analyze(Program program, const WorkloadSpec& workload,
-                             const NfPrediction* precomputed) const;
+  // The rest of the pipeline for an NF already lowered and predicted: profiles
+  // `nf` on `workload` (which runs its handler and so changes its state and
+  // profile), then derives every insight. `nf` must be ok() and `prediction`
+  // must be predictor().PredictNf(nf.module()). The serve engine calls this
+  // directly so that it can time lowering and inference as stages of their own.
+  OffloadingInsights Analyze(NfInstance& nf, const WorkloadSpec& workload,
+                             NfPrediction prediction) const;
 
   // Selects the LSTM inference backend for all subsequent Analyze calls
   // (src/ml/infer.h); the serve engine applies ServeOptions.infer_backend

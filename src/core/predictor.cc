@@ -124,21 +124,25 @@ BlockPrediction InstructionPredictor::PredictBlock(const Module& m,
   p.mem_state = counts.stateful_mem;
   p.mem_stateless = counts.stateless_mem;
   p.api_calls = counts.api_calls;
-  // Compute instructions: learned approximation of the opaque compiler.
-  Vocabulary& vocab = const_cast<Vocabulary&>(vocab_);  // frozen: Encode is read-only
-  std::vector<int> tokens = vocab.Encode(block, m, opts_.abstraction);
+  // Compute instructions: learned approximation of the opaque compiler. A
+  // trained vocabulary is frozen, so Vocabulary::Encode would only look words
+  // up; looking them up here keeps an untrained predictor read-only too.
+  std::vector<int> tokens;
+  for (const std::string& word : AbstractBlock(block, m, opts_.abstraction)) {
+    tokens.push_back(vocab_.Lookup(word));
+  }
   p.compute = lstm_.Predict(tokens);
   return p;
 }
 
 NfPrediction InstructionPredictor::PredictNf(const Module& m) const {
+  const std::vector<BasicBlock>& blocks = m.functions.at(0).blocks;
   NfPrediction out;
-  const Function& f = m.functions.at(0);
-  for (const auto& blk : f.blocks) {
-    BlockPrediction bp = PredictBlock(m, blk);
+  out.blocks = ParallelMap<BlockPrediction>(
+      blocks.size(), [&](size_t b) { return PredictBlock(m, blocks[b]); });
+  for (const BlockPrediction& bp : out.blocks) {
     out.total_compute += bp.compute;
     out.total_mem_state += bp.mem_state;
-    out.blocks.push_back(bp);
   }
   return out;
 }

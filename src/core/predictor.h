@@ -52,7 +52,11 @@ class InstructionPredictor {
 
   bool trained() const { return trained_; }
 
+  // Thread-safe: neither call mutates the predictor.
   BlockPrediction PredictBlock(const Module& m, const BasicBlock& block) const;
+  // Predicts the entry function's blocks in parallel on the shared pool, then
+  // sums them in block order, so the result is bit-identical at any thread
+  // count.
   NfPrediction PredictNf(const Module& m) const;
 
   // The frozen training artifacts, exposed so baseline models (DNN/CNN/

@@ -142,9 +142,9 @@ void EventLoop::WorkerLoop(size_t shard) {
 }
 
 void EventLoop::ProcessTask(Task task) {
-  // Mirror of the sequential transport's per-read-batch handling: parse
-  // failures answer immediately, everything else is Submit()ed together so
-  // the engine can micro-batch, and responses land in frame order.
+  // One read batch of one connection: parse failures answer immediately,
+  // everything else is Submit()ed together so the engine's dispatcher can
+  // drain it as one batch, and responses land in frame order.
   const std::shared_ptr<Conn>& conn = task.conn;
   std::string out;
   std::vector<std::future<InsightResponse>> futures;

@@ -1,8 +1,6 @@
-// Multi-client epoll transport for the Clara insight-serving daemon.
-//
-// The sequential transport in tools/clara_serve.cc serves one connection to
-// completion before accepting the next; this event loop serves an arbitrary
-// number of clients concurrently over one Unix domain socket:
+// Multi-client epoll transport for the Clara insight-serving daemon: the
+// daemon's one socket transport. One event loop serves an arbitrary number
+// of clients concurrently over one Unix domain socket:
 //
 //   * A non-blocking listener plus one epoll instance (level-triggered) own
 //     every fd. Each accepted connection carries its own FrameReader, so
@@ -13,9 +11,11 @@
 //     (shard = connection id % shards), which parses, Submit()s, waits on
 //     the futures, and appends the encoded responses to the connection's
 //     outbound buffer. Pinning a connection to one shard preserves
-//     per-connection response ordering while separate connections proceed in
-//     parallel; the engine still micro-batches across shards because
-//     Submit() is the shared funnel.
+//     per-connection response ordering while separate shards proceed in
+//     parallel. A shard finishes one task before it takes the next, so
+//     connections that share a shard wait on each other's analyses; the
+//     engine's dispatcher drains requests from every shard as one batch,
+//     because Submit() is the shared funnel.
 //   * Control frames (stats/health/dump/reload) are answered inline on the
 //     loop thread, ahead of everything queued — the control plane stays
 //     responsive when the request queue is saturated.
@@ -30,9 +30,8 @@
 //
 // The loop thread owns fds and the epoll set exclusively; workers only touch
 // a connection's outbound buffer (under its mutex) and wake the loop through
-// an eventfd. Fault-injection sites sock.accept/sock.read/sock.write behave
-// as in the sequential transport: an injected fault costs that connection,
-// never the daemon.
+// an eventfd. An injected fault at the sock.accept/sock.read/sock.write sites
+// costs the connection it hits, never the daemon.
 #ifndef SRC_SERVE_EVENTLOOP_H_
 #define SRC_SERVE_EVENTLOOP_H_
 

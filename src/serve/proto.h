@@ -102,9 +102,10 @@ struct LatencyBreakdown {
   uint64_t trace_id = 0;
   bool cache_hit = false;
   uint32_t queue_us = 0;    // submit -> batch drain
-  uint32_t parse_us = 0;    // program resolution (parse/check or registry)
-  uint32_t infer_us = 0;    // this request's share of batched LSTM inference
-  uint32_t analyze_us = 0;  // full insight analysis
+  uint32_t parse_us = 0;    // program resolution (parse/check or registry;
+                            // on a miss, also lowering into an NfInstance)
+  uint32_t infer_us = 0;    // LSTM inference over this request's blocks
+  uint32_t analyze_us = 0;  // profiling and the analysis after inference
   uint32_t encode_us = 0;   // response-body encoding + cache store
   uint32_t total_us = 0;    // submit -> fulfill
 };

@@ -9,7 +9,7 @@
 
 #include "src/elements/elements.h"
 #include "src/lang/check.h"
-#include "src/lang/lower.h"
+#include "src/lang/interp.h"
 #include "src/lang/parse.h"
 #include "src/lang/printer.h"
 #include "src/obs/json_util.h"
@@ -21,7 +21,6 @@
 #include "src/synth/algorithm_corpus.h"
 #include "src/util/binio.h"
 #include "src/util/fault.h"
-#include "src/util/parallel.h"
 
 namespace clara {
 namespace serve {
@@ -433,11 +432,6 @@ void ServeEngine::Fulfill(Pending& p, InsightResponse resp) {
 }
 
 void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
-  // Pin the model for the whole batch: a concurrent Reload() swaps the
-  // engine's pointer but cannot reclaim this snapshot until we drop it, so
-  // every request in the batch is answered by one consistent model.
-  std::shared_ptr<ModelSnapshot> model = Model();
-  const ClaraAnalyzer& analyzer = model->analyzer;
   bool brownout = brownout_active_.load(std::memory_order_relaxed);
   Clock::time_point drained = Clock::now();
   for (auto& p : batch) {
@@ -448,12 +442,10 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   }
 
   // Per-slot resolution: program + cache lookup. Slots that error out or hit
-  // the cache are fulfilled immediately and excluded from inference.
+  // the cache are fulfilled immediately; the misses are analyzed below.
   struct Slot {
     Pending* pending = nullptr;
     Program program;
-    Module module;
-    NfPrediction prediction;
     uint64_t program_hash = 0;
     uint64_t workload_hash = 0;
   };
@@ -541,65 +533,43 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
       Fulfill(p, SheddedResponse(p.req.id, "brownout: cache miss shed (priority 0)"));
       continue;
     }
-
-    // Inference needs only the IR; Analyze lowers its own copy again to
-    // profile it.
-    Program clone = CloneProgram(slot.program);
-    LowerResult lowered = LowerProgram(clone);
-    if (!lowered.ok) {
-      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
-                               "lowering failed: " + lowered.error));
-      continue;
-    }
-    slot.module = std::move(lowered.module);
     live.push_back(std::move(slot));
   }
   if (live.empty()) {
     return;
   }
 
-  // Micro-batched inference: one flattened (slot, block) parallel map across
-  // the whole batch, mirroring InstructionPredictor::PredictNf per slot.
-  std::vector<std::pair<size_t, size_t>> pairs;
-  for (size_t s = 0; s < live.size(); ++s) {
-    const Module& m = live[s].module;
-    size_t blocks = m.functions.at(0).blocks.size();
-    for (size_t b = 0; b < blocks; ++b) {
-      pairs.emplace_back(s, b);
-    }
+  // Pin the model only now, after the cache probes. Hits never read it, and
+  // a probe that found the cache cleared by a Reload() then pins the model
+  // that Reload() published, so CachePut keeps the answer. A concurrent
+  // Reload() cannot reclaim the snapshot while we hold it, so every miss in
+  // the batch is answered by one consistent model.
+  std::shared_ptr<ModelSnapshot> model;
+  std::shared_ptr<ModelSnapshot> retired;  // released when the batch is done
+  {
+    std::lock_guard<std::mutex> lock(model_mu_);
+    model = model_;
+    retired = std::move(retired_);
   }
-  const InstructionPredictor& predictor = analyzer.predictor();
-  Clock::time_point infer_start = Clock::now();
-  std::vector<BlockPrediction> block_preds = ParallelMap<BlockPrediction>(pairs.size(), [&](size_t i) {
-    const auto& [s, b] = pairs[i];
-    const Module& m = live[s].module;
-    return predictor.PredictBlock(m, m.functions.at(0).blocks[b]);
-  });
-  Clock::time_point infer_end = Clock::now();
-  // Inference is batch-wide: attribute the shared interval to every live slot
-  // (each request's LSTM work overlapped the whole parallel map).
-  for (auto& slot : live) {
-    slot.pending->spans.push_back(StageSpan{"serve.infer", infer_start, infer_end});
-  }
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    NfPrediction& pred = live[pairs[i].first].prediction;
-    const BlockPrediction& bp = block_preds[i];
-    pred.total_compute += bp.compute;
-    pred.total_mem_state += bp.mem_state;
-    pred.blocks.push_back(bp);
-  }
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Global()
-        .GetHistogram("serve.batch.blocks", obs::Histogram::ExponentialBuckets(1, 2, 16))
-        .Observe(static_cast<double>(pairs.size()));
-  }
-
-  // Full analysis per live slot with the precomputed predictions.
-  for (auto& slot : live) {
+  const ClaraAnalyzer& analyzer = model->analyzer;
+  for (Slot& slot : live) {
     Pending& p = *slot.pending;
-    StageSpan analyze_span{"serve.analyze", Clock::now(), {}};
-    OffloadingInsights insights =
-        analyzer.Analyze(std::move(slot.program), p.req.workload, &slot.prediction);
+    // Lowering finishes program resolution, so serve.parse times it too.
+    StageSpan lower_span{"serve.parse", Clock::now(), {}};
+    NfInstance nf(std::move(slot.program));
+    lower_span.end = Clock::now();
+    p.spans.push_back(lower_span);
+    if (!nf.ok()) {
+      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
+                               "lowering failed: " + nf.error()));
+      continue;
+    }
+    StageSpan infer_span{"serve.infer", lower_span.end, {}};
+    NfPrediction prediction = analyzer.predictor().PredictNf(nf.module());
+    infer_span.end = Clock::now();
+    p.spans.push_back(infer_span);
+    StageSpan analyze_span{"serve.analyze", infer_span.end, {}};
+    OffloadingInsights insights = analyzer.Analyze(nf, p.req.workload, std::move(prediction));
     InsightResponse resp;
     resp.id = p.req.id;
     resp.nf_name = insights.nf_name;
@@ -722,6 +692,7 @@ bool ServeEngine::Reload(TrainedBundle bundle, std::string* error) {
   {
     std::lock_guard<std::mutex> lock(model_mu_);
     cand->version = artifact_version_.load(std::memory_order_relaxed) + 1;
+    retired_ = std::move(model_);
     model_ = cand;
     artifact_version_.store(cand->version, std::memory_order_release);
   }

@@ -9,18 +9,21 @@
 //   * Per-request deadlines: a request that expires while queued is answered
 //     with kDeadlineExceeded without being dispatched; one that finishes late
 //     still succeeds but bumps the serve.deadline.overruns counter.
-//   * Micro-batching: the dispatcher drains up to max_batch requests and
-//     runs per-block LSTM inference for the whole batch as one flattened
-//     (request, block) parallel map over the shared thread pool, then feeds
-//     the assembled per-request predictions into ClaraAnalyzer::Analyze.
+//   * Batched dispatch: the dispatcher drains up to max_batch requests,
+//     resolves each program and probes the cache, answering hits and errors
+//     first. Each miss then goes through ClaraAnalyzer's pipeline: one
+//     lowering into an NfInstance, PredictNf (its blocks in parallel on the
+//     shared thread pool), and the analysis proper.
 //   * LRU result cache keyed by (program content hash, workload hash); a hit
 //     replays the cached encoded response body byte-for-byte (only the
 //     echoed request id differs), skipping analysis entirely.
 //   * Hot artifact reload: the trained model lives in an immutable
 //     ModelSnapshot behind a mutex-guarded shared_ptr. Reload() builds and
 //     canary-validates a candidate entirely off the serving path, then
-//     atomically swaps the pointer and clears the result cache; batches in
-//     flight finish on the snapshot they started with (they hold their own
+//     atomically swaps the pointer and clears the result cache. A batch pins
+//     the snapshot after its cache probes, so a miss that found the cache
+//     cleared is analyzed on the new model and its answer is cached; batches
+//     in flight finish on the snapshot they pinned (they hold their own
 //     shared_ptr), so no request ever sees a half-swapped model. Rejected
 //     candidates (untrained, CRC-damaged, canary failure) leave the old
 //     snapshot serving. Each successful swap bumps artifact_version().
@@ -38,7 +41,7 @@
 //     counters, serve.reload.{ok,rejected}, serve.brownout.{entered,exited},
 //     serve.shedded, plus the fault.* injection counters.
 //   * Telemetry plane: every request is traced end to end — per-stage spans
-//     (queue wait, program resolution, batched inference, analysis, encode)
+//     (queue wait, program resolution, inference, analysis, encode)
 //     share the request's trace id in the global Chrome-trace sink, and the
 //     response carries a per-stage latency breakdown. A rolling-window SLO
 //     tracker (serve.slo.* gauges, --slo-p99-us gate) and a flight recorder
@@ -82,7 +85,7 @@ struct ServeOptions {
   // Packets interpreted per request for workload-specific profiling (smaller
   // than the offline default: serving favors latency).
   size_t profile_packets = 2000;
-  // LSTM inference backend for batched prediction (src/ml/infer.h). kF64 is
+  // LSTM inference backend for prediction (src/ml/infer.h). kF64 is
   // the training-time double path; kF32 runs the packed SIMD engine.
   InferBackend infer_backend = InferBackend::kF64;
   // Rolling-window SLO: when slo_p99_us > 0 and the window p99 exceeds it,
@@ -140,7 +143,7 @@ class ServeEngine {
   // is cleared and artifact_version() is bumped. On failure returns false
   // with *error set and the previous model keeps serving untouched.
   // Thread-safe against concurrent request processing; batches in flight
-  // finish on the snapshot they captured at dispatch.
+  // finish on the snapshot they pinned after their cache probes.
   bool Reload(TrainedBundle bundle, std::string* error);
   // Reload from an artifact file (CRC-checked by the artifact store).
   bool ReloadFromFile(const std::string& path, std::string* error);
@@ -168,7 +171,7 @@ class ServeEngine {
   // A transport front end (the epoll event loop) can register a callback
   // rendering its connection gauges as one JSON object; StatsJson() embeds
   // the result under "transport". Unset (default) omits the key, keeping the
-  // pipe/sequential envelopes unchanged.
+  // pipe envelope unchanged.
   void SetTransportStatsProvider(std::function<std::string()> provider);
   // Metrics registry snapshot as one JSON object.
   std::string StatsJson() const;
@@ -263,6 +266,11 @@ class ServeEngine {
   // itself never changes.
   mutable std::mutex model_mu_;
   std::shared_ptr<ModelSnapshot> model_;
+  // The snapshot the last Reload() replaced. The next batch with a miss
+  // releases it on the dispatcher: freed on the reloading thread, it ran
+  // concurrently with cache hits and slowed enough of them to fail
+  // bench/serve_latency's reload_during_load gate several times as often.
+  std::shared_ptr<ModelSnapshot> retired_;  // guarded by model_mu_
   std::string reload_path_;  // guarded by model_mu_
   std::atomic<uint64_t> artifact_version_{1};
   std::atomic<uint64_t> reload_ok_{0};

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/core/predictor.h"
 #include "src/elements/elements.h"
 #include "src/lang/lower.h"
 #include "src/ml/automl.h"
@@ -231,6 +232,55 @@ TEST(DeterminismTest, AutoMlBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(std::memcmp(&r1.cv_error, &r8.cv_error, sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(&y1, &y2, sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(&y1, &y8, sizeof(double)), 0);
+}
+
+// PredictNf predicts an NF's blocks on the shared pool. Each thread count,
+// on both inference backends, must give the serial per-block predictions
+// and their block-order sums, bit for bit.
+TEST(DeterminismTest, PredictNfBitIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  PredictorOptions opts;
+  opts.train_programs = 24;
+  opts.lstm.epochs = 2;
+  opts.lstm.hidden = 16;
+  opts.synth.profile = UniformProfile();
+  InstructionPredictor predictor(opts);
+  predictor.Train();
+  std::vector<Module> modules;
+  for (const char* name : {"aggcounter", "mazunat", "iplookup", "wepdecap"}) {
+    Program p = MakeElementByName(name);
+    LowerResult lr = LowerProgram(p);
+    ASSERT_TRUE(lr.ok) << name << ": " << lr.error;
+    modules.push_back(std::move(lr.module));
+  }
+  auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; };
+  for (InferBackend backend : {InferBackend::kF64, InferBackend::kF32}) {
+    predictor.SetInferBackend(backend);
+    for (const Module& m : modules) {
+      SetNumThreads(1);
+      std::vector<BlockPrediction> serial;
+      double total_compute = 0;
+      uint32_t total_mem_state = 0;
+      for (const BasicBlock& blk : m.functions[0].blocks) {
+        serial.push_back(predictor.PredictBlock(m, blk));
+        total_compute += serial.back().compute;
+        total_mem_state += serial.back().mem_state;
+      }
+      for (int threads : {1, 2, 8}) {
+        SetNumThreads(threads);
+        NfPrediction got = predictor.PredictNf(m);
+        ASSERT_EQ(got.blocks.size(), serial.size());
+        for (size_t b = 0; b < serial.size(); ++b) {
+          ASSERT_TRUE(same(got.blocks[b].compute, serial[b].compute))
+              << m.name << " block " << b << ", " << threads << " threads";
+          ASSERT_EQ(got.blocks[b].mem_state, serial[b].mem_state);
+        }
+        EXPECT_TRUE(same(got.total_compute, total_compute))
+            << m.name << ", " << threads << " threads";
+        EXPECT_EQ(got.total_mem_state, total_mem_state);
+      }
+    }
+  }
 }
 
 // Every field GenerateTrace sets, packet by packet.

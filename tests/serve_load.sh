@@ -3,12 +3,11 @@
 # byte-identity and tail latency:
 #
 #   1. Train a small bundle with clara_cli.
-#   2. Start a sequential-transport daemon (the single-client reference) and
-#      an epoll daemon on separate sockets from the same bundle.
-#   3. Verify phase: clara_loadgen drives 128 concurrent closed-loop
-#      connections at hit-ratio 1.0 with --baseline-socket pointed at the
-#      sequential daemon — every cache-hit response must be byte-identical
-#      to the single-client transport's answer.
+#   2. Start an epoll daemon from it.
+#   3. Verify phase: clara_loadgen first asks the fresh daemon once per
+#      element over one connection (cache misses), then drives 128
+#      concurrent closed-loop connections at hit-ratio 1.0 — every cache
+#      replay must be byte-identical to that single-connection answer.
 #   4. Sustained phase: open-loop at a fixed target rate with a realistic
 #      mix (0.5% cache misses, tracing, priorities) under a hard p99 SLO;
 #      the JSON report and the machine-independent BENCH_serve_load.json
@@ -57,24 +56,20 @@ echo "== train a small bundle =="
 "$CLI" train --fast --model-dir="$WORK/models"
 test -f "$WORK/models/clara_bundle.bin"
 
-echo "== start sequential (reference) and epoll daemons =="
-"$SERVE" --socket="$WORK/seq.sock" --model-dir="$WORK/models" \
-  --transport=sequential --profile-packets=200 2> "$WORK/seq.log" &
-pids+=($!)
+echo "== start the epoll daemon =="
 "$SERVE" --socket="$WORK/epoll.sock" --model-dir="$WORK/models" \
   --shards=2 --profile-packets=200 --slo-p99-us="$SLO_P99_US" \
   2> "$WORK/epoll.log" &
 pids+=($!)
-wait_for_socket "$WORK/seq.sock"
 wait_for_socket "$WORK/epoll.sock"
 
-echo "== verify: $CONNS closed-loop connections, byte-compare vs sequential =="
-"$LOADGEN" --socket="$WORK/epoll.sock" --baseline-socket="$WORK/seq.sock" \
+echo "== verify: $CONNS closed-loop connections, byte-compare vs single-connection misses =="
+"$LOADGEN" --socket="$WORK/epoll.sock" \
   --mode=closed --connections="$CONNS" --duration-s=3 --hit-ratio=1.0 \
   --max-error-rate=0 --report="$WORK/verify_report.json"
 
 echo "== sustained: open-loop at $RATE req/s with a p99 SLO gate =="
-"$LOADGEN" --socket="$WORK/epoll.sock" --baseline-socket="$WORK/seq.sock" \
+"$LOADGEN" --socket="$WORK/epoll.sock" \
   --mode=open --connections=64 --rate="$RATE" --duration-s="$DURATION_S" \
   --hit-ratio=0.995 --trace-pct=5 --priority-hi-pct=20 \
   --slo-p99-us="$SLO_P99_US" --max-error-rate=0.001 \
@@ -99,6 +94,6 @@ for row in rows:
 print(f"serve_load: p99={report['latency_us']['p99']}us "
       f"achieved={report['achieved_rps']:.1f}rps ok={report['ok']}")
 EOF
-kill -0 "${pids[0]}" "${pids[1]}"
+kill -0 "${pids[0]}"
 
 echo "serve_load: PASS"

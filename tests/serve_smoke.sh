@@ -72,7 +72,7 @@ echo "== control plane: stats/health/dump return well-formed JSON =="
 grep -q 'serve.requests' "$WORK/stats.json"
 grep -q '"stats_version":2' "$WORK/stats.json"
 grep -q '"infer":"f32"' "$WORK/stats.json"
-# The epoll transport (the socket-mode default) reports itself in the envelope.
+# The epoll transport (socket mode's only transport) reports itself in the envelope.
 grep -q '"transport":{"mode":"epoll"' "$WORK/stats.json"
 
 echo "== pidfile: a second daemon on the same socket refuses to start =="

@@ -7,9 +7,11 @@
 // shared across every test in the binary.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <string_view>
@@ -632,6 +634,47 @@ TEST(Engine, UnrunnableWorkloadIsABadRequestAndServingContinues) {
   EXPECT_EQ(ok.id, 2u);
 }
 
+// The engine answers a miss through ClaraAnalyzer's pipeline, so its
+// response carries exactly what Analyze computes for the same program and
+// workload: by registry name on both presets, and for inline source.
+TEST(Engine, MissAnswersMatchTheAnalyzer) {
+  serve::ServeOptions opts = FastServeOptions();
+  serve::ServeEngine engine(ReloadedBundle(), opts);
+  std::vector<serve::InsightRequest> requests;
+  for (const char* name : {"aggcounter", "mazunat", "iplookup", "wepdecap"}) {
+    for (const WorkloadSpec& wl : {WorkloadSpec::SmallFlows(), WorkloadSpec::LargeFlows()}) {
+      serve::InsightRequest req = ElementRequest(requests.size() + 1, name);
+      req.workload = wl;
+      requests.push_back(std::move(req));
+    }
+  }
+  serve::InsightRequest inline_req;
+  inline_req.id = requests.size() + 1;
+  inline_req.source = ToSource(MakeElementByName("heavyhitter"));
+  inline_req.workload = WorkloadSpec::LargeFlows();
+  requests.push_back(std::move(inline_req));
+
+  for (const serve::InsightRequest& req : requests) {
+    Program program;
+    if (req.source.empty()) {
+      program = MakeElementByName(req.element);
+    } else {
+      ParseResult parsed = ParseProgram(req.source);
+      ASSERT_TRUE(parsed.ok) << parsed.error;
+      program = std::move(parsed.program);
+    }
+    OffloadingInsights want = engine.analyzer().Analyze(std::move(program), req.workload);
+    serve::InsightResponse got = engine.Handle(req);
+    ASSERT_EQ(got.error, serve::ErrorCode::kOk) << got.error_message;
+    EXPECT_FALSE(got.breakdown.cache_hit) << "request " << req.id;
+    EXPECT_EQ(got.nf_name, want.nf_name);
+    EXPECT_EQ(got.rendered, want.ToString(opts.nic)) << "request " << req.id;
+    EXPECT_EQ(std::memcmp(&got.total_compute, &want.prediction.total_compute, sizeof(double)),
+              0)
+        << "request " << req.id;
+  }
+}
+
 // ---- telemetry wire extensions ----
 
 TEST(Proto, TraceIdRoundTripsAndZeroIsOmitted) {
@@ -1137,6 +1180,46 @@ TEST(Engine, RejectedReloadKeepsTheOldModelServing) {
 
   serve::InsightResponse resp = engine.Handle(ElementRequest(1, "aggcounter"));
   EXPECT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+}
+
+// A reload clears the cache once, so each key costs one analysis per reload.
+// A request that probed the cleared cache while holding the old model would
+// analyze, see CachePut drop its answer as stale, and leave the next request
+// to analyze the key again.
+TEST(Engine, ReloadRepopulatesEachKeyWithOneAnalysis) {
+  constexpr int kReloads = 100;
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  engine.Start();
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread client([&] {
+    for (uint64_t id = 1; !stop.load(); ++id) {
+      if (engine.Submit(ElementRequest(id, "aggcounter")).get().error != serve::ErrorCode::kOk) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+  auto wait_until_cached = [&] {
+    while (engine.cache_entries() == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  };
+  wait_until_cached();
+  for (int i = 0; i < kReloads; ++i) {
+    std::string why;
+    if (!engine.Reload(ReloadedBundle(), &why)) {
+      ADD_FAILURE() << "reload " << i << ": " << why;
+      break;
+    }
+    wait_until_cached();
+  }
+  stop = true;
+  client.join();
+  engine.Stop();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_NE(engine.HealthJson().find("\"misses\":" + std::to_string(kReloads + 1) + ","),
+            std::string::npos)
+      << engine.HealthJson();
 }
 
 // ---- brownout end-to-end (engine) ----

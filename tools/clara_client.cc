@@ -31,8 +31,8 @@
 //   --retry-base-ms=N  first-retry delay before jitter (default 25)
 //
 // Example round trip:
-//   clara_client --emit --element=aggcounter --count=2 \
-//     | clara_serve --model-dir=models/ --pipe | clara_client --decode
+//   clara_client --emit --element=aggcounter --count=2 |
+//     clara_serve --model-dir=models/ --pipe | clara_client --decode
 #include <errno.h>
 #include <sys/socket.h>
 #include <sys/un.h>

@@ -606,7 +606,7 @@ int ServeFuzz(uint64_t seed, int iters, const std::string& corpus_out) {
   const char* targets[] = {"request", "response", "artifact", "frame", "control"};
   // A default-constructed (untrained) bundle serializes quickly and still
   // exercises every section parser.
-  std::string artifact_bytes = serve::SerializeBundle(TrainedBundle{});
+  std::string artifact_bytes = serve::SerializeBundle(TrainedBundle());
   Rng rng(seed);
   int failures = 0;
   for (int i = 0; i < iters; ++i) {

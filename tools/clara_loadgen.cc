@@ -22,11 +22,11 @@
 // shedding targets priority 0 first); --deadline-ms sets per-request
 // deadlines.
 //
-// Correctness while under load: every OK response to a hit-class request is
-// byte-compared (response body, the serve cache's unit) against a baseline —
-// captured from --baseline-socket when given (e.g. a --transport=sequential
-// daemon, proving the epoll loop byte-identical to the legacy transport),
-// otherwise against the first answer this run observed per element. Any
+// Correctness while under load: before the timed phase, one connection asks
+// the daemon once per hit-class element, which prewarms its cache. Those
+// answers (on a fresh daemon, single-connection cache misses) are the
+// baseline: every OK response to a hit-class request under load is
+// byte-compared against it (response body, the serve cache's unit). Any
 // mismatch fails the run.
 //
 // The end-of-run JSON --report carries achieved req/s, p50/p90/p99/max
@@ -37,10 +37,10 @@
 // acts as a hard p99 SLO gate. Violating --slo-p99-us or --max-error-rate,
 // any byte mismatch, or a failed connection makes the exit code nonzero.
 //
-// Usage:
-//   clara_loadgen --socket=PATH --connections=128 --mode=open --rate=1500 \
-//     --duration-s=10 --hit-ratio=0.995 --slo-p99-us=50000 \
-//     --baseline-socket=SEQ_PATH --report=load.json --bench-json=BENCH.json
+// Usage (one command):
+//   clara_loadgen --socket=PATH --connections=128 --mode=open --rate=1500
+//                 --duration-s=10 --hit-ratio=0.995 --slo-p99-us=50000
+//                 --report=load.json --bench-json=BENCH.json
 #include <errno.h>
 #include <fcntl.h>
 #include <poll.h>
@@ -73,7 +73,6 @@ using Clock = std::chrono::steady_clock;
 
 struct Config {
   std::string socket_path;
-  std::string baseline_socket;
   std::string report_path;
   std::string bench_json_path;
   std::string mode = "closed";
@@ -163,8 +162,8 @@ bool Exchange(const std::string& path, const std::string& out, std::string* repl
   return true;
 }
 
-// The fixed hit-class workload: identical on every run and both daemons, so
-// responses come from the serve cache byte-equal.
+// The fixed hit-class workload: identical on every run, so responses come
+// from the serve cache byte-equal.
 WorkloadSpec HitWorkload() { return WorkloadSpec::SmallFlows(); }
 
 serve::InsightRequest MakeRequest(const Config& cfg, uint64_t id, size_t conn,
@@ -193,7 +192,7 @@ serve::InsightRequest MakeRequest(const Config& cfg, uint64_t id, size_t conn,
 }
 
 // Baseline for the byte-compare: one fixed-workload request per element
-// against `path` (also prewarms that daemon's cache).
+// against `path`, over one connection (also prewarms that daemon's cache).
 bool CaptureBaseline(const std::string& path,
                      std::map<std::string, std::string>* baseline) {
   std::string out;
@@ -239,7 +238,6 @@ struct ConnResult {
 struct Verifier {
   std::mutex mu;
   std::map<std::string, std::string> baseline;  // element -> expected body
-  bool self_learn = false;  // no --baseline-socket: learn from first answers
   uint64_t mismatches = 0;
   std::string first_mismatch;
 
@@ -247,14 +245,7 @@ struct Verifier {
   bool Check(const std::string& element, const serve::InsightResponse& resp) {
     std::string body = serve::EncodeResponseBody(resp);
     std::lock_guard<std::mutex> lock(mu);
-    auto it = baseline.find(element);
-    if (it == baseline.end()) {
-      if (self_learn) {
-        baseline[element] = std::move(body);
-      }
-      return true;
-    }
-    if (it->second == body) {
+    if (baseline.at(element) == body) {
       return true;
     }
     ++mismatches;
@@ -473,11 +464,10 @@ int Usage() {
       "                     [--rate=REQ_PER_S] [--duration-s=S] [--hit-ratio=X]\n"
       "                     [--trace-pct=X] [--priority-hi-pct=X] [--deadline-ms=N]\n"
       "                     [--seed=N] [--slo-p99-us=X] [--max-error-rate=X]\n"
-      "                     [--baseline-socket=PATH] [--report=FILE]\n"
-      "                     [--bench-json=FILE]\n"
+      "                     [--report=FILE] [--bench-json=FILE]\n"
       "Sustained multi-client load against a clara_serve --socket daemon; the\n"
       "exit code gates p99 latency, error rate and byte-identity of cached\n"
-      "responses (vs --baseline-socket when given).\n");
+      "responses (vs the daemon's prewarm answers).\n");
   return 2;
 }
 
@@ -490,8 +480,6 @@ int main(int argc, char** argv) {
     auto val = [&a](const char* flag) { return a.c_str() + std::strlen(flag); };
     if (a.rfind("--socket=", 0) == 0) {
       cfg.socket_path = val("--socket=");
-    } else if (a.rfind("--baseline-socket=", 0) == 0) {
-      cfg.baseline_socket = val("--baseline-socket=");
     } else if (a.rfind("--report=", 0) == 0) {
       cfg.report_path = val("--report=");
     } else if (a.rfind("--bench-json=", 0) == 0) {
@@ -531,27 +519,13 @@ int main(int argc, char** argv) {
   }
   ::signal(SIGPIPE, SIG_IGN);
 
+  // Prewarm the daemon's cache so hit-class requests actually hit from the
+  // first timed sample; the prewarm answers are the byte-compare baseline.
   Verifier verifier;
-  if (!cfg.baseline_socket.empty()) {
-    if (!CaptureBaseline(cfg.baseline_socket, &verifier.baseline)) {
-      std::fprintf(stderr, "clara_loadgen: cannot capture baseline from %s\n",
-                   cfg.baseline_socket.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "clara_loadgen: baseline captured (%zu elements)\n",
-                 verifier.baseline.size());
-  } else {
-    verifier.self_learn = true;
-  }
-  // Prewarm the target daemon's cache so hit-class requests actually hit
-  // from the first timed sample.
-  {
-    std::map<std::string, std::string> warm;
-    if (!CaptureBaseline(cfg.socket_path, &warm)) {
-      std::fprintf(stderr, "clara_loadgen: cannot reach %s\n",
-                   cfg.socket_path.c_str());
-      return 1;
-    }
+  if (!CaptureBaseline(cfg.socket_path, &verifier.baseline)) {
+    std::fprintf(stderr, "clara_loadgen: cannot capture a baseline from %s\n",
+                 cfg.socket_path.c_str());
+    return 1;
   }
 
   std::vector<ConnResult> results(cfg.connections);
@@ -635,7 +609,7 @@ int main(int argc, char** argv) {
       "  \"achieved_rps\": %.1f,\n"
       "  \"latency_us\": {\"p50\": %u, \"p90\": %u, \"p99\": %u, \"max\": %u},\n"
       "  \"error_codes\": %s,\n"
-      "  \"verify\": {\"baseline\": \"%s\", \"mismatches\": %llu},\n"
+      "  \"verify\": {\"mismatches\": %llu},\n"
       "  \"gates\": {\"slo_p99_us\": %.0f, \"slo_ok\": %s, \"errors_ok\": %s, "
       "\"verify_ok\": %s, \"connections_ok\": %s}\n"
       "}\n",
@@ -648,7 +622,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(total.unanswered),
       static_cast<unsigned long long>(total.skipped), failed_conns, achieved_rps,
       p50, p90, p99, lat_max, error_codes_json.c_str(),
-      cfg.baseline_socket.empty() ? "self" : "sequential-daemon",
       static_cast<unsigned long long>(verifier.mismatches), cfg.slo_p99_us,
       slo_ok ? "true" : "false", errors_ok ? "true" : "false",
       verify_ok ? "true" : "false", conns_ok ? "true" : "false");

@@ -7,25 +7,24 @@
 // Transports:
 //   --pipe          read request frames from stdin, write response frames to
 //                   stdout (the default; composes with clara_client --emit)
-//   --socket=PATH   listen on a Unix domain socket. The default transport is
-//                   an epoll event loop (src/serve/eventloop.h) serving many
-//                   clients concurrently: per-connection frame reassembly, a
-//                   sharded worker pool feeding the engine queue
-//                   (--shards=N), and bounded per-connection write buffers
-//                   (--max-outbound-bytes) that disconnect slow readers.
-//                   --transport=sequential keeps the legacy one-connection-
-//                   at-a-time loop for byte-identity comparisons. Either
-//                   way, a failed connection is dropped and logged — the
-//                   daemon keeps serving the others. Socket mode takes a
-//                   flock()'d "<socket>.pid" pidfile before unlinking the
-//                   path, so a second daemon refuses to start instead of
-//                   deleting a live sibling's socket.
+//   --socket=PATH   listen on a Unix domain socket through an epoll event
+//                   loop (src/serve/eventloop.h) serving many clients
+//                   concurrently: per-connection frame reassembly, a sharded
+//                   worker pool feeding the engine queue (--shards=N), and
+//                   bounded per-connection write buffers
+//                   (--max-outbound-bytes) that disconnect slow readers. A
+//                   failed connection is dropped and logged — the daemon
+//                   keeps serving the others. Socket mode takes a flock()'d
+//                   "<socket>.pid" pidfile before unlinking the path, so a
+//                   second daemon refuses to start instead of deleting a live
+//                   sibling's socket.
 //
-// All requests buffered at once are micro-batched through the serving
-// engine, so N concurrent insight requests share one parallel per-block
-// inference pass (connections on different shards batch together through
-// the shared Submit() funnel). Malformed payloads and oversized frames get
-// structured error responses; SIGINT/SIGTERM shut the daemon down cleanly.
+// Requests buffered at once are submitted to the serving engine together,
+// and its dispatcher drains them as one batch (connections on different
+// shards share the Submit() funnel): cache hits and errors are answered
+// first, then each miss is analyzed, its blocks predicted in parallel.
+// Malformed payloads and oversized frames get structured error responses;
+// SIGINT/SIGTERM shut the daemon down cleanly.
 //
 // Self-healing plane:
 //   * SIGHUP (or a control Reload frame) hot-reloads the bundle from
@@ -56,13 +55,9 @@
 //
 // Usage:
 //   clara_cli train --model-dir=models/
-//   clara_client --emit --element=aggcounter --count=4 \
-//     | clara_serve --model-dir=models/ --pipe \
-//     | clara_client --decode
-#include <errno.h>
+//   clara_client --emit --element=aggcounter --count=4 |
+//     clara_serve --model-dir=models/ --pipe | clara_client --decode
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -105,8 +100,8 @@ void InstallSignalHandlers() {
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = OnSignal;
-  // No SA_RESTART: blocking read()/accept() must return EINTR so the main
-  // loop can observe g_stop (and g_dump_flight / g_reload).
+  // No SA_RESTART: a blocking read() must return EINTR so the pipe loop can
+  // observe g_stop (and g_dump_flight / g_reload).
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
   sa.sa_handler = OnDumpSignal;
@@ -143,9 +138,9 @@ void MaybeReload(serve::ServeEngine& engine, const std::string& bundle_path) {
   }
 }
 
-// Serves one byte stream (pipe or accepted socket connection) until EOF or
-// shutdown. Frames buffered together are submitted together, so the engine
-// micro-batches them; responses are written back in request order.
+// Pipe transport: serves stdin until EOF or shutdown. Frames buffered
+// together are submitted together, so the engine can drain them as one
+// batch; responses are written back in request order.
 int ServeStream(serve::ServeEngine& engine, const std::string& bundle_path, int in_fd,
                 int out_fd) {
   serve::FrameReader reader;
@@ -203,74 +198,9 @@ int ServeStream(serve::ServeEngine& engine, const std::string& bundle_path, int 
   return 0;
 }
 
-// Legacy sequential socket transport (--transport=sequential): accepts one
-// connection, serves it to completion, then accepts the next. Kept as the
-// byte-identity reference for the epoll loop (tests/serve_load.sh compares
-// responses across the two) and for debugging. The caller must already hold
-// the socket's pidfile lock — the unlink below is only safe then.
-int ServeSocket(serve::ServeEngine& engine, const std::string& bundle_path,
-                const std::string& path) {
-  int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener < 0) {
-    std::fprintf(stderr, "clara_serve: socket: %s\n", std::strerror(errno));
-    return 1;
-  }
-  struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "clara_serve: socket path too long: %s\n", path.c_str());
-    ::close(listener);
-    return 1;
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  ::unlink(path.c_str());  // stale socket; our flock'd pidfile proves no live owner
-  if (::bind(listener, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listener, 8) < 0) {
-    std::fprintf(stderr, "clara_serve: bind/listen %s: %s\n", path.c_str(),
-                 std::strerror(errno));
-    ::close(listener);
-    return 1;
-  }
-  std::fprintf(stderr, "clara_serve: listening on %s\n", path.c_str());
-  int rc = 0;
-  while (g_stop == 0) {
-    MaybeDumpFlight(engine);
-    MaybeReload(engine, bundle_path);
-    int conn = ::accept(listener, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      std::fprintf(stderr, "clara_serve: accept: %s\n", std::strerror(errno));
-      rc = 1;
-      break;
-    }
-    // Fault site sock.accept: the connection is dropped before a byte is
-    // exchanged — the client sees a reset, the daemon serves the next one.
-    if (fault::Armed() && fault::ShouldFail(fault::Site::kSockAccept)) {
-      ::close(conn);
-      continue;
-    }
-    // A connection that fails mid-stream (client vanished, injected socket
-    // fault) is that connection's problem, not the daemon's: log, drop,
-    // keep accepting.
-    if (ServeStream(engine, bundle_path, conn, conn) != 0) {
-      std::fprintf(stderr, "clara_serve: connection dropped\n");
-      if (obs::Enabled()) {
-        obs::MetricsRegistry::Global().GetCounter("serve.conn.dropped").Add(1);
-      }
-    }
-    ::close(conn);
-  }
-  ::close(listener);
-  ::unlink(path.c_str());
-  return rc;
-}
-
-// Default socket transport: the epoll multi-client event loop. The tick
-// callback runs the signal-flag work (flight dump, SIGHUP reload) on the
-// loop thread between epoll waits.
+// Socket transport: the epoll multi-client event loop. The tick callback
+// runs the signal-flag work (flight dump, SIGHUP reload) on the loop thread
+// between epoll waits.
 int ServeEpoll(serve::ServeEngine& engine, const std::string& bundle_path,
                serve::EventLoopOptions opts) {
   std::string path = opts.socket_path;
@@ -294,8 +224,8 @@ int ServeEpoll(serve::ServeEngine& engine, const std::string& bundle_path,
 int Usage() {
   std::fprintf(stderr,
                "usage: clara_serve --model-dir=DIR [--pipe | --socket=PATH]\n"
-               "                   [--transport=epoll|sequential] [--shards=N]\n"
-               "                   [--max-outbound-bytes=N] [--max-conns=N]\n"
+               "                   [--shards=N] [--max-outbound-bytes=N]\n"
+               "                   [--max-conns=N]\n"
                "                   [--queue=N] [--batch=N] [--cache=N]\n"
                "                   [--profile-packets=N]\n"
                "                   [--infer=f64|f32]\n"
@@ -320,7 +250,6 @@ int Usage() {
 int main(int argc, char** argv) {
   std::string model_dir;
   std::string socket_path;
-  std::string transport = "epoll";
   serve::EventLoopOptions loop_opts;
   std::string metrics_path;
   std::string trace_path;
@@ -336,13 +265,6 @@ int main(int argc, char** argv) {
       // default transport
     } else if (a.rfind("--socket=", 0) == 0) {
       socket_path = a.substr(std::strlen("--socket="));
-    } else if (a.rfind("--transport=", 0) == 0) {
-      transport = a.substr(std::strlen("--transport="));
-      if (transport != "epoll" && transport != "sequential") {
-        std::fprintf(stderr, "clara_serve: unknown --transport '%s'\n",
-                     transport.c_str());
-        return Usage();
-      }
     } else if (a.rfind("--shards=", 0) == 0) {
       loop_opts.shards = std::strtoul(a.c_str() + std::strlen("--shards="), nullptr, 10);
     } else if (a.rfind("--max-outbound-bytes=", 0) == 0) {
@@ -462,8 +384,6 @@ int main(int argc, char** argv) {
   int rc;
   if (socket_path.empty()) {
     rc = ServeStream(engine, bundle_path, STDIN_FILENO, STDOUT_FILENO);
-  } else if (transport == "sequential") {
-    rc = ServeSocket(engine, bundle_path, socket_path);
   } else {
     loop_opts.socket_path = socket_path;
     rc = ServeEpoll(engine, bundle_path, loop_opts);
