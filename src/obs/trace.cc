@@ -94,6 +94,11 @@ void TraceSink::AddEvents(std::vector<TraceEvent>&& events) {
                  std::make_move_iterator(events.end()));
 }
 
+void TraceSink::AddSpans(const SpanRecord* spans, size_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  spans_.insert(spans_.end(), spans, spans + n);
+}
+
 void TraceSink::AddCounter(const std::string& name, double value) {
   TraceEvent e;
   e.name = name;
@@ -119,12 +124,24 @@ void TraceSink::AddInstant(const std::string& name, const std::string& cat) {
 
 size_t TraceSink::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
+  return events_.size() + spans_.size();
 }
 
 std::vector<TraceEvent> TraceSink::Events() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  std::vector<TraceEvent> out;
+  out.reserve(events_.size() + spans_.size());
+  out.insert(out.end(), events_.begin(), events_.end());
+  for (const SpanRecord& s : spans_) {
+    TraceEvent& e = out.emplace_back();
+    e.name = s.name;
+    e.cat = s.cat;
+    e.ts_us = s.ts_us;
+    e.dur_us = s.dur_us;
+    e.tid = s.tid;
+    e.trace_id = s.trace_id;
+  }
+  return out;
 }
 
 std::string TraceSink::ToChromeJson() const {

@@ -30,6 +30,19 @@ struct TraceEvent {
   uint64_t trace_id = 0;
 };
 
+// A complete span ('X') whose name and category are string literals (or
+// otherwise outlive the sink). The serving hot path records each request's
+// span tree as these, so tracing a request copies no string and allocates
+// nothing; Events() renders each one as a TraceEvent.
+struct SpanRecord {
+  const char* name;
+  const char* cat;
+  int64_t ts_us;
+  int64_t dur_us;
+  uint32_t tid;
+  uint64_t trace_id;
+};
+
 class TraceSink {
  public:
   TraceSink();
@@ -38,6 +51,8 @@ class TraceSink {
 
   // Microseconds since this sink was created (monotonic).
   int64_t NowUs() const;
+  // The instant NowUs() counts from.
+  std::chrono::steady_clock::time_point epoch() const { return epoch_; }
 
   void AddComplete(const std::string& name, const std::string& cat, int64_t ts_us,
                    int64_t dur_us);
@@ -46,13 +61,16 @@ class TraceSink {
   // renders on the same track regardless of which thread recorded it.
   void AddCompleteForTrace(const std::string& name, const std::string& cat,
                            int64_t ts_us, int64_t dur_us, uint64_t trace_id);
-  // Append a pre-built batch under one lock. The serving hot path emits a
-  // whole request span tree at once; per-event locking there is measurable.
+  // Append a pre-built batch under one lock.
   void AddEvents(std::vector<TraceEvent>&& events);
+  // Appends spans under one lock, without copying their strings.
+  void AddSpans(const SpanRecord* spans, size_t n);
   void AddCounter(const std::string& name, double value);
   void AddInstant(const std::string& name, const std::string& cat);
 
   size_t size() const;
+  // Every event, TraceEvents in arrival order followed by SpanRecords in
+  // arrival order.
   std::vector<TraceEvent> Events() const;
 
   // {"traceEvents":[...],"displayTimeUnit":"ms"} — chrome://tracing format.
@@ -68,6 +86,7 @@ class TraceSink {
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
+  std::vector<SpanRecord> spans_;
 };
 
 // Global sink registration. Not owned; caller keeps the sink alive for the

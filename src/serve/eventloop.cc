@@ -21,14 +21,6 @@ namespace serve {
 
 namespace {
 
-size_t AutoShards() {
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) {
-    hw = 2;
-  }
-  return std::max<size_t>(1, std::min<size_t>(4, hw / 2));
-}
-
 void BumpCounter(const char* name) {
   if (obs::Enabled()) {
     obs::MetricsRegistry::Global().GetCounter(name).Add(1);
@@ -44,9 +36,7 @@ void MoveGauge(const char* name, double delta) {
 }  // namespace
 
 EventLoop::EventLoop(ServeEngine& engine, EventLoopOptions opts)
-    : engine_(engine), opts_(std::move(opts)) {
-  nshards_ = opts_.shards == 0 ? AutoShards() : opts_.shards;
-}
+    : engine_(engine), opts_(std::move(opts)) {}
 
 EventLoop::~EventLoop() {
   if (listener_ >= 0) {
@@ -104,10 +94,6 @@ bool EventLoop::Init(std::string* error) {
     *error = std::string("epoll_ctl(eventfd): ") + std::strerror(errno);
     return false;
   }
-  shard_q_.clear();
-  for (size_t i = 0; i < nshards_; ++i) {
-    shard_q_.push_back(std::make_unique<Shard>());
-  }
   return true;
 }
 
@@ -122,81 +108,81 @@ void EventLoop::NotifyLoop(const std::shared_ptr<Conn>& conn) {
   (void)!::write(wake_, &one, sizeof(one));
 }
 
-void EventLoop::WorkerLoop(size_t shard) {
-  Shard& q = *shard_q_[shard];
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(q.mu);
-      q.cv.wait(lock, [&] {
-        return !q.tasks.empty() || workers_stop_.load(std::memory_order_acquire);
-      });
-      if (q.tasks.empty()) {
-        return;  // stop requested and the queue is drained
-      }
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-    }
-    ProcessTask(std::move(task));
-  }
-}
-
-void EventLoop::ProcessTask(Task task) {
-  // One read batch of one connection: parse failures answer immediately,
-  // everything else is Submit()ed together so the engine's dispatcher can
-  // drain it as one batch, and responses land in frame order.
-  const std::shared_ptr<Conn>& conn = task.conn;
-  std::string out;
-  std::vector<std::future<InsightResponse>> futures;
-  for (const std::string& frame : task.frames) {
-    {
-      // Nobody will read the answers of a closed connection: stop feeding
-      // its frames to the engine, where they would only take queue slots
-      // from live clients.
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      if (conn->closed) {
-        break;
-      }
-    }
-    InsightRequest req;
-    std::string err;
-    if (!ParseRequest(frame, &req, &err)) {
-      AppendFrame(&out,
-                  ServeEngine::EncodeTransportError(ErrorCode::kBadRequest, err));
-      continue;
-    }
-    futures.push_back(
-        engine_.Submit(std::move(req), static_cast<uint32_t>(frame.size())));
-  }
-  for (auto& f : futures) {
-    AppendFrame(&out, EncodeResponse(f.get()));
-  }
-
+bool EventLoop::SubmitFrame(const std::shared_ptr<Conn>& conn, std::string_view frame) {
+  uint64_t seq;
   {
+    // Nobody will read the answers of a closed connection: stop feeding its
+    // frames to the engine, where they would only take queue slots from
+    // live clients.
     std::lock_guard<std::mutex> lock(conn->out_mu);
-    --conn->in_flight;
-    if (!conn->closed) {
-      conn->outbound += out;
-      if (conn->outbound.size() > opts_.max_outbound_bytes) {
-        conn->overflow = true;
-      }
+    if (conn->closed || conn->overflow) {
+      return false;
     }
+    seq = conn->first_slot + conn->slots.size();
+    conn->slots.emplace_back();
   }
-  NotifyLoop(conn);
+  InsightRequest req;
+  std::string err;
+  if (!ParseRequest(frame, &req, &err)) {
+    std::string out;
+    AppendFrame(&out, ServeEngine::EncodeTransportError(ErrorCode::kBadRequest, err));
+    FillSlot(conn, seq, std::move(out));
+    return true;
+  }
+  {
+    std::lock_guard<std::mutex> lock(callbacks_mu_);
+    ++callbacks_;
+  }
+  engine_.Submit(std::move(req), static_cast<uint32_t>(frame.size()),
+                 [this, conn, seq](InsightResponse resp) {
+                   std::string out;
+                   AppendFrame(&out, EncodeResponse(resp));
+                   FillSlot(conn, seq, std::move(out));
+                   // On the loop thread the read that submitted it flushes.
+                   if (std::this_thread::get_id() != loop_thread_) {
+                     NotifyLoop(conn);
+                   }
+                   CallbackDone();
+                 });
+  return true;
 }
 
-bool EventLoop::AppendOutbound(const std::shared_ptr<Conn>& conn,
+void EventLoop::FillSlot(const std::shared_ptr<Conn>& conn, uint64_t seq,
+                         std::string frame) {
+  std::lock_guard<std::mutex> lock(conn->out_mu);
+  if (conn->closed) {
+    return;  // CloseConn dropped the slots with the buffer
+  }
+  conn->slots[seq - conn->first_slot] = std::move(frame);
+  while (!conn->slots.empty() && !conn->slots.front().empty()) {
+    conn->outbound += conn->slots.front();
+    conn->slots.pop_front();
+    ++conn->first_slot;
+  }
+  if (conn->outbound.size() > opts_.max_outbound_bytes) {
+    conn->overflow = true;
+  }
+}
+
+void EventLoop::CallbackDone() {
+  // Notified under the lock: once Run() sees zero it may destroy the loop,
+  // so nothing here may touch it after the unlock.
+  std::lock_guard<std::mutex> lock(callbacks_mu_);
+  if (--callbacks_ == 0) {
+    callbacks_cv_.notify_all();
+  }
+}
+
+void EventLoop::AppendOutbound(const std::shared_ptr<Conn>& conn,
                                std::string_view bytes) {
   std::lock_guard<std::mutex> lock(conn->out_mu);
   if (conn->closed) {
-    return false;
+    return;
   }
   conn->outbound.append(bytes.data(), bytes.size());
   if (conn->outbound.size() > opts_.max_outbound_bytes) {
     conn->overflow = true;
-    return false;
   }
-  return true;
 }
 
 void EventLoop::UpdateEpollInterest(const std::shared_ptr<Conn>& conn) {
@@ -267,6 +253,7 @@ void EventLoop::CloseConn(const std::shared_ptr<Conn>& conn, bool error, bool sl
     }
     conn->closed = true;
     conn->outbound.clear();
+    conn->slots.clear();
   }
   ::epoll_ctl(epoll_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
@@ -293,7 +280,7 @@ void EventLoop::MaybeFinishConn(const std::shared_ptr<Conn>& conn) {
       return;
     }
     slow = conn->overflow;
-    done = conn->read_closed && conn->in_flight == 0 && conn->outbound.empty();
+    done = conn->read_closed && conn->slots.empty() && conn->outbound.empty();
   }
   if (slow) {
     CloseConn(conn, /*error=*/false, /*slow=*/true);
@@ -331,8 +318,6 @@ void EventLoop::HandleListener() {
     }
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
-    conn->id = next_conn_id_++;
-    conn->shard = conn->id % nshards_;
     struct epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
     ev.events = EPOLLIN;
@@ -390,45 +375,29 @@ void EventLoop::HandleConnReadable(const std::shared_ptr<Conn>& conn) {
     UpdateEpollInterest(conn);
   }
 
-  Task task;
-  task.conn = conn;
-  std::string inline_out;
   std::string frame;
   while (conn->reader.Next(&frame)) {
     frames_in_.fetch_add(1, std::memory_order_relaxed);
     // Control-plane frames are answered inline on the loop thread, ahead of
     // anything queued: stats/health stay responsive under a saturated queue.
     if (PeekType(frame) == MsgType::kControlRequest) {
-      AppendFrame(&inline_out, engine_.HandleControl(frame));
+      std::string out;
+      AppendFrame(&out, engine_.HandleControl(frame));
+      AppendOutbound(conn, out);
       continue;
     }
-    task.frames.push_back(std::move(frame));
+    if (!SubmitFrame(conn, frame)) {
+      break;  // closed or over its cap: the connection is going away
+    }
   }
   for (size_t i = conn->reader.TakeOversized(); i > 0; --i) {
     oversized_.fetch_add(1, std::memory_order_relaxed);
-    AppendFrame(&inline_out,
-                ServeEngine::EncodeTransportError(ErrorCode::kOversized,
-                                                  "frame exceeds the 1 MiB limit"));
+    std::string out;
+    AppendFrame(&out, ServeEngine::EncodeTransportError(ErrorCode::kOversized,
+                                                        "frame exceeds the 1 MiB limit"));
+    AppendOutbound(conn, out);
   }
-  if (!inline_out.empty()) {
-    AppendOutbound(conn, inline_out);
-    FlushConn(conn);
-  }
-  if (!task.frames.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      if (conn->closed) {
-        return;
-      }
-      ++conn->in_flight;
-    }
-    Shard& q = *shard_q_[conn->shard];
-    {
-      std::lock_guard<std::mutex> lock(q.mu);
-      q.tasks.push_back(std::move(task));
-    }
-    q.cv.notify_one();
-  }
+  FlushConn(conn);
   MaybeFinishConn(conn);
 }
 
@@ -453,11 +422,7 @@ void EventLoop::DrainCompletions() {
 }
 
 int EventLoop::Run(const std::atomic<int>* stop, const std::function<void()>& tick) {
-  workers_stop_.store(false, std::memory_order_release);
-  workers_.clear();
-  for (size_t i = 0; i < nshards_; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
+  loop_thread_ = std::this_thread::get_id();
 
   struct epoll_event events[64];
   while (stop->load(std::memory_order_acquire) == 0) {
@@ -504,16 +469,13 @@ int EventLoop::Run(const std::atomic<int>* stop, const std::function<void()>& ti
     }
   }
 
-  // Drain the shard queues (workers finish everything already handed to
-  // them), give each connection one best-effort flush, then tear down.
-  workers_stop_.store(true, std::memory_order_release);
-  for (auto& s : shard_q_) {
-    s->cv.notify_all();
+  // Wait for the engine to answer everything already submitted (the
+  // callbacks capture this loop), give each connection one best-effort
+  // flush, then tear down.
+  {
+    std::unique_lock<std::mutex> lock(callbacks_mu_);
+    callbacks_cv_.wait(lock, [this] { return callbacks_ == 0; });
   }
-  for (auto& w : workers_) {
-    w.join();
-  }
-  workers_.clear();
   DrainCompletions();
   std::vector<std::shared_ptr<Conn>> remaining;
   remaining.reserve(conns_.size());
@@ -535,7 +497,6 @@ int EventLoop::Run(const std::atomic<int>* stop, const std::function<void()>& ti
 std::string EventLoop::StatsJson() const {
   std::string j = "{";
   j += "\"mode\":\"epoll\",";
-  j += "\"shards\":" + std::to_string(nshards_) + ",";
   j += "\"conn_active\":" + std::to_string(active()) + ",";
   j += "\"conn_peak\":" +
        std::to_string(peak_active_.load(std::memory_order_relaxed)) + ",";

@@ -6,19 +6,18 @@
 //     every fd. Each accepted connection carries its own FrameReader, so
 //     partial frames interleaved across connections reassemble independently
 //     — a client dribbling one byte at a time never stalls anyone else.
-//   * A sharded worker pool bridges the loop to the ServeEngine admission
-//     queue: complete insight frames are handed to the connection's shard
-//     (shard = connection id % shards), which parses, Submit()s, waits on
-//     the futures, and appends the encoded responses to the connection's
-//     outbound buffer. Pinning a connection to one shard preserves
-//     per-connection response ordering while separate shards proceed in
-//     parallel. A shard finishes one task before it takes the next, so
-//     connections that share a shard wait on each other's analyses; the
-//     engine's dispatcher drains requests from every shard as one batch,
-//     because Submit() is the shared funnel.
-//   * Control frames (stats/health/dump/reload) are answered inline on the
-//     loop thread, ahead of everything queued — the control plane stays
-//     responsive when the request queue is saturated.
+//   * The loop thread parses each complete insight frame and hands it to
+//     ServeEngine::Submit() with a completion callback, so the engine's queue
+//     is the only queue. A by-name cache hit is answered inside Submit(), on
+//     the loop thread, with no thread handoff; every other request is
+//     answered by the engine's dispatcher.
+//   * Per-connection response order: each insight frame takes a slot in a
+//     FIFO kept per connection. A completion fills its slot, then moves the
+//     run of filled slots at the head into the outbound buffer, so a hit
+//     sent right behind a miss is still written after that miss.
+//   * Control frames (stats/health/dump/reload) and oversized-frame errors
+//     are answered inline on the loop thread, ahead of queued work — the
+//     control plane stays responsive when the request queue is saturated.
 //   * Writes are buffered per connection and flushed with non-blocking
 //     send(): EAGAIN arms EPOLLOUT and the flush resumes when the socket
 //     drains. A client that stops reading while responses pile up past
@@ -28,10 +27,12 @@
 //     closed/...) feed the obs registry, and StatsJson() renders the same
 //     numbers as the "transport" object of the stats envelope.
 //
-// The loop thread owns fds and the epoll set exclusively; workers only touch
-// a connection's outbound buffer (under its mutex) and wake the loop through
-// an eventfd. An injected fault at the sock.accept/sock.read/sock.write sites
-// costs the connection it hits, never the daemon.
+// The loop thread owns fds and the epoll set exclusively. A completion on
+// the loop thread appends its bytes and the loop flushes after the read; one
+// on the dispatcher touches only the connection's slots and outbound buffer
+// (under its mutex) and wakes the loop through an eventfd. An injected fault
+// at the sock.accept/sock.read/sock.write sites costs the connection it
+// hits, never the daemon.
 #ifndef SRC_SERVE_EVENTLOOP_H_
 #define SRC_SERVE_EVENTLOOP_H_
 
@@ -43,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -55,9 +57,6 @@ namespace serve {
 
 struct EventLoopOptions {
   std::string socket_path;
-  // Worker threads bridging frames to ServeEngine::Submit(). 0 = auto
-  // (min(4, hardware_concurrency/2), at least 1).
-  size_t shards = 0;
   // Per-connection outbound buffer cap; exceeding it disconnects the client
   // (slow-reader backpressure).
   size_t max_outbound_bytes = 4u << 20;
@@ -68,7 +67,8 @@ struct EventLoopOptions {
 
 class EventLoop {
  public:
-  // The engine must outlive the loop. Init() must succeed before Run().
+  // The engine must outlive the loop, and be running while Run() drains its
+  // requests at shutdown. Init() must succeed before Run().
   EventLoop(ServeEngine& engine, EventLoopOptions opts);
   ~EventLoop();
 
@@ -84,15 +84,15 @@ class EventLoop {
   // is an atomic<int> so both a signal handler (lock-free stores are
   // async-signal-safe) and a test thread can set it. `tick` runs on the loop
   // thread at least every ~100 ms and after every signal interruption — the
-  // daemon polls its signal flags there. Returns 0 on a clean stop. Joins
-  // the shard workers and closes every fd before returning; the listener
-  // socket file is unlinked.
+  // daemon polls its signal flags there. Returns 0 on a clean stop, once
+  // every submitted request's callback has run (the callbacks capture the
+  // loop), each connection has had a last flush and every fd is closed; the
+  // listener socket file is unlinked.
   int Run(const std::atomic<int>* stop, const std::function<void()>& tick = {});
 
   // Transport stats as one JSON object (the stats envelope's "transport").
   std::string StatsJson() const;
 
-  size_t shards() const { return nshards_; }
   uint64_t accepted() const { return accepted_.load(std::memory_order_relaxed); }
   uint64_t closed() const { return closed_.load(std::memory_order_relaxed); }
   uint64_t active() const { return active_.load(std::memory_order_relaxed); }
@@ -104,75 +104,68 @@ class EventLoop {
 
  private:
   // Per-connection state. The loop thread owns fd/reader/epoll membership;
-  // `out_mu` guards everything a shard worker may touch.
+  // `out_mu` guards everything a completion may touch.
   struct Conn {
     int fd = -1;
-    uint64_t id = 0;
-    size_t shard = 0;
 
     FrameReader reader;  // loop thread only
 
     std::mutex out_mu;
-    std::string outbound;     // encoded response frames awaiting flush
-    size_t in_flight = 0;     // shard tasks not yet appended
-    bool closed = false;      // loop closed the fd; workers skip its
-                              // remaining frames and drop output
-    bool overflow = false;    // outbound cap blown; loop disconnects
-    bool read_closed = false; // peer half-closed; close once drained
-    bool want_write = false;  // EPOLLOUT armed
+    std::string outbound;  // encoded response frames awaiting flush
+    // One slot per submitted insight frame, oldest first: its encoded
+    // response frame once answered, empty while in flight.
+    std::deque<std::string> slots;
+    uint64_t first_slot = 0;   // sequence number of slots.front()
+    bool closed = false;       // loop closed the fd; no more frames are
+                               // submitted and completions drop their bytes
+    bool overflow = false;     // outbound cap blown; loop disconnects
+    bool read_closed = false;  // peer half-closed; close once drained
+    bool want_write = false;   // EPOLLOUT armed
   };
 
-  // One batch of complete frames read from a connection in a single drain,
-  // processed in order by the connection's shard.
-  struct Task {
-    std::shared_ptr<Conn> conn;
-    std::vector<std::string> frames;
-  };
-
-  void WorkerLoop(size_t shard);
-  void ProcessTask(Task task);
+  // Takes the frame's response slot and submits it to the engine; false
+  // (nothing taken) once the connection is closed or over its outbound cap.
+  bool SubmitFrame(const std::shared_ptr<Conn>& conn, std::string_view frame);
+  // Fills slot `seq` with an encoded response frame, moving the filled run at
+  // the head of the FIFO to outbound. Any thread.
+  void FillSlot(const std::shared_ptr<Conn>& conn, uint64_t seq, std::string frame);
+  // The end of every engine callback: lets Run() return once none is left.
+  void CallbackDone();
 
   void HandleListener();
   void HandleConnReadable(const std::shared_ptr<Conn>& conn);
   void HandleConnWritable(const std::shared_ptr<Conn>& conn);
   void DrainCompletions();
 
-  // Appends bytes to conn->outbound (any thread); returns false when the
-  // connection is closed or the append blew the outbound cap.
-  bool AppendOutbound(const std::shared_ptr<Conn>& conn, std::string_view bytes);
+  // Appends bytes to conn->outbound (loop thread); a no-op once the
+  // connection is closed.
+  void AppendOutbound(const std::shared_ptr<Conn>& conn, std::string_view bytes);
   // Non-blocking flush; arms/disarms EPOLLOUT as needed. Loop thread only.
   void FlushConn(const std::shared_ptr<Conn>& conn);
   // Closes the fd and forgets the connection. Loop thread only.
   void CloseConn(const std::shared_ptr<Conn>& conn, bool error, bool slow);
-  // Closes once the peer hung up, nothing is in flight and the buffer
-  // drained. Loop thread only.
+  // Closes once the peer hung up, no slot is left and the buffer drained.
+  // Loop thread only.
   void MaybeFinishConn(const std::shared_ptr<Conn>& conn);
   void NotifyLoop(const std::shared_ptr<Conn>& conn);
   void UpdateEpollInterest(const std::shared_ptr<Conn>& conn);
 
   ServeEngine& engine_;
   EventLoopOptions opts_;
-  size_t nshards_ = 1;
 
   int listener_ = -1;
   int epoll_ = -1;
-  int wake_ = -1;  // eventfd: shard workers -> loop
-  uint64_t next_conn_id_ = 0;
+  int wake_ = -1;  // eventfd: dispatcher-thread completions -> loop
+  std::thread::id loop_thread_;  // set by Run() before the first Submit()
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // loop thread only
 
-  // Shard queues. One mutex per shard keeps connections on different shards
-  // fully independent.
-  struct Shard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Task> tasks;
-  };
-  std::vector<std::unique_ptr<Shard>> shard_q_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> workers_stop_{false};
+  // Engine callbacks not yet finished; Run() waits for zero.
+  std::mutex callbacks_mu_;
+  std::condition_variable callbacks_cv_;
+  size_t callbacks_ = 0;
 
-  // Completion queue: connections whose outbound changed (or whose in-flight
-  // count dropped) since the loop last looked.
+  // Completion queue: connections whose outbound changed since the loop
+  // last looked.
   std::mutex comp_mu_;
   std::vector<std::shared_ptr<Conn>> completions_;
 

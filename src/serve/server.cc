@@ -26,9 +26,9 @@ namespace clara {
 namespace serve {
 namespace {
 
-uint64_t MixKey(uint64_t program_hash, uint64_t workload_hash) {
-  return program_hash ^ (workload_hash * 0x9E3779B97F4A7C15ULL);
-}
+// The program half of the cache key. By-name requests take it from the
+// table the engine builds with this function at construction.
+uint64_t ProgramKey(const Program& program) { return Fnv1a64(ToSource(program)); }
 
 obs::SloTracker::Options SloOptionsFrom(const ServeOptions& opts) {
   obs::SloTracker::Options slo;
@@ -59,6 +59,26 @@ obs::Histogram& BatchHist() {
   static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
       "serve.batch.size", obs::Histogram::LinearBuckets(1, 1, 16));
   return h;
+}
+
+obs::Counter& RequestsCounter() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter("serve.requests");
+  return c;
+}
+
+obs::Counter& CacheHitsCounter() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter("serve.cache.hits");
+  return c;
+}
+
+obs::Counter& CacheMissesCounter() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter("serve.cache.misses");
+  return c;
+}
+
+obs::Gauge& QueueDepthGauge() {
+  static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge("serve.queue.depth");
+  return g;
 }
 
 InsightResponse ErrorResponse(uint64_t id, ErrorCode code, std::string message) {
@@ -105,7 +125,12 @@ ServeEngine::ServeEngine(TrainedBundle bundle, ServeOptions opts)
                                              opts.infer_backend, /*ver=*/1)),
       brownout_(BrownoutOptionsFrom(opts)),
       slo_(SloOptionsFrom(opts)),
-      flight_(opts.flight_capacity) {}
+      flight_(opts.flight_capacity),
+      cache_(opts.cache_capacity) {
+  for (const ElementInfo& info : ElementRegistry()) {
+    element_keys_.emplace(info.name, ProgramKey(info.make()));
+  }
+}
 
 ServeEngine::~ServeEngine() { Stop(); }
 
@@ -136,67 +161,78 @@ void ServeEngine::Stop() {
     leftovers.swap(queue_);
   }
   if (obs::Enabled() && !leftovers.empty()) {
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.queue.depth")
-        .Sub(static_cast<double>(leftovers.size()));
+    QueueDepthGauge().Sub(static_cast<double>(leftovers.size()));
   }
   for (auto& p : leftovers) {
-    p.promise.set_value(
-        ErrorResponse(p.req.id, ErrorCode::kShutdown, "engine stopped before dispatch"));
+    p.done(ErrorResponse(p.req.id, ErrorCode::kShutdown, "engine stopped before dispatch"));
   }
 }
 
-std::future<InsightResponse> ServeEngine::Submit(InsightRequest req,
-                                                 uint32_t request_bytes) {
+ServeEngine::Pending ServeEngine::NewPending(InsightRequest req, uint32_t request_bytes,
+                                            std::function<void(InsightResponse)> done) {
   Pending p;
   p.req = std::move(req);
+  p.done = std::move(done);
   p.request_bytes = request_bytes;
   p.enqueued = Clock::now();
-  bool brownout = brownout_active_.load(std::memory_order_relaxed);
   if (p.req.deadline_ms > 0) {
     // Brownout shrinks the admitted deadline budget: work we cannot finish
     // in time should fail fast at dispatch instead of occupying a batch slot.
     uint32_t budget = p.req.deadline_ms;
-    if (brownout) {
+    if (brownout_active_.load(std::memory_order_relaxed)) {
       budget = std::max<uint32_t>(1, budget / 2);
     }
     p.has_deadline = true;
     p.deadline = p.enqueued + std::chrono::milliseconds(budget);
   }
-  std::future<InsightResponse> fut = p.promise.get_future();
+  return p;
+}
+
+bool ServeEngine::AnswerAtAdmission(Pending& p) {
+  if (!p.req.source.empty()) {
+    return false;
+  }
+  auto key = element_keys_.find(p.req.element);
+  return key != element_keys_.end() &&
+         ReplayCached(p, key->second, HashWorkload(p.req.workload));
+}
+
+void ServeEngine::Submit(InsightRequest req, uint32_t request_bytes,
+                         std::function<void(InsightResponse)> done) {
+  Pending p = NewPending(std::move(req), request_bytes, std::move(done));
+  if (AnswerAtAdmission(p)) {
+    return;
+  }
   // Fault site queue.admit: admission rejects a healthy request exactly the
   // way a full queue would, with a retry hint so well-behaved clients recover.
   if (fault::Armed() && fault::ShouldFail(fault::Site::kQueueAdmit)) {
     InsightResponse resp =
         ErrorResponse(p.req.id, ErrorCode::kQueueFull, "injected fault (queue.admit)");
     resp.retry_after_ms = 10;
-    p.promise.set_value(std::move(resp));
-    return fut;
+    p.done(std::move(resp));
+    return;
   }
+  bool brownout = brownout_active_.load(std::memory_order_relaxed);
   std::vector<Pending> evicted;
+  std::optional<InsightResponse> rejected;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
       // Shutdown has begun (or completed without a restart): answer instead
-      // of racing the dispatcher teardown and stranding the promise.
-      p.promise.set_value(
-          ErrorResponse(p.req.id, ErrorCode::kShutdown, "engine is stopping"));
-      return fut;
-    }
-    if (queue_.size() >= opts_.queue_capacity) {
+      // of racing the dispatcher teardown and stranding the request.
+      rejected = ErrorResponse(p.req.id, ErrorCode::kShutdown, "engine is stopping");
+    } else if (queue_.size() >= opts_.queue_capacity) {
       if (obs::Enabled()) {
         obs::MetricsRegistry::Global().GetCounter("serve.queue.rejected").Add(1);
       }
-      InsightResponse resp = ErrorResponse(
+      rejected = ErrorResponse(
           p.req.id, ErrorCode::kQueueFull,
           "queue at capacity (" + std::to_string(opts_.queue_capacity) + ")");
       if (brownout) {
-        resp.retry_after_ms = brownout_.options().retry_after_ms;
+        rejected->retry_after_ms = brownout_.options().retry_after_ms;
       }
-      p.promise.set_value(std::move(resp));
-      return fut;
-    }
-    if (brownout && queue_.size() >= std::max<size_t>(1, opts_.queue_capacity / 2)) {
+    } else if (brownout &&
+               queue_.size() >= std::max<size_t>(1, opts_.queue_capacity / 2)) {
       // Above the brownout watermark admission is priority-competitive: the
       // newcomer displaces the lowest-priority queued request (newest among
       // ties) if it outranks one, otherwise it is shed itself.
@@ -209,25 +245,38 @@ std::future<InsightResponse> ServeEngine::Submit(InsightRequest req,
         }
       }
       if (victim == queue_.size()) {
-        p.promise.set_value(
-            SheddedResponse(p.req.id, "brownout: load shed above queue watermark"));
-        return fut;
+        rejected = SheddedResponse(p.req.id, "brownout: load shed above queue watermark");
+      } else {
+        evicted.push_back(std::move(queue_[victim]));
+        queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(victim));
+        if (obs::Enabled()) {
+          QueueDepthGauge().Sub(1);
+        }
       }
-      evicted.push_back(std::move(queue_[victim]));
-      queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(victim));
+    }
+    if (!rejected) {
+      queue_.push_back(std::move(p));
       if (obs::Enabled()) {
-        obs::MetricsRegistry::Global().GetGauge("serve.queue.depth").Sub(1);
+        QueueDepthGauge().Add(1);
       }
     }
-    queue_.push_back(std::move(p));
-    if (obs::Enabled()) {
-      obs::MetricsRegistry::Global().GetGauge("serve.queue.depth").Add(1);
-    }
+  }
+  if (rejected) {
+    p.done(std::move(*rejected));  // outside the lock: the callback is the caller's
+    return;
   }
   for (auto& v : evicted) {
     Fulfill(v, SheddedResponse(v.req.id, "brownout: displaced by higher priority"));
   }
   cv_.notify_one();
+}
+
+std::future<InsightResponse> ServeEngine::Submit(InsightRequest req,
+                                                 uint32_t request_bytes) {
+  auto promise = std::make_shared<std::promise<InsightResponse>>();
+  std::future<InsightResponse> fut = promise->get_future();
+  Submit(std::move(req), request_bytes,
+         [promise](InsightResponse resp) { promise->set_value(std::move(resp)); });
   return fut;
 }
 
@@ -235,21 +284,17 @@ InsightResponse ServeEngine::Handle(InsightRequest req, uint32_t request_bytes) 
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_) {
-      // Inline single-request path (no dispatcher): still exercises the full
-      // batch pipeline.
-      Pending p;
-      p.req = std::move(req);
-      p.request_bytes = request_bytes;
-      p.enqueued = Clock::now();
-      if (p.req.deadline_ms > 0) {
-        p.has_deadline = true;
-        p.deadline = p.enqueued + std::chrono::milliseconds(p.req.deadline_ms);
+      // Inline single-request path (no dispatcher): the admission step, then
+      // the full batch pipeline.
+      InsightResponse out;
+      Pending p = NewPending(std::move(req), request_bytes,
+                             [&out](InsightResponse resp) { out = std::move(resp); });
+      if (!AnswerAtAdmission(p)) {
+        std::vector<Pending> batch;
+        batch.push_back(std::move(p));
+        ProcessBatch(std::move(batch));
       }
-      std::future<InsightResponse> fut = p.promise.get_future();
-      std::vector<Pending> batch;
-      batch.push_back(std::move(p));
-      ProcessBatch(std::move(batch));
-      return fut.get();
+      return out;
     }
   }
   return Submit(std::move(req), request_bytes).get();
@@ -294,9 +339,7 @@ void ServeEngine::Loop() {
         queue_.pop_front();
       }
       if (obs::Enabled() && take > 0) {
-        obs::MetricsRegistry::Global()
-            .GetGauge("serve.queue.depth")
-            .Sub(static_cast<double>(take));
+        QueueDepthGauge().Sub(static_cast<double>(take));
       }
     }
     ProcessBatch(std::move(batch));
@@ -347,31 +390,20 @@ void ServeEngine::Fulfill(Pending& p, InsightResponse resp) {
   // wait child, then the recorded processing stages — all on one track, all
   // tagged with the trace id.
   if (sink != nullptr) {
-    int64_t now_sink_us = sink->NowUs();
-    auto to_sink_us = [&](Clock::time_point tp) {
-      return now_sink_us - SpanUs(tp, now);
-    };
+    auto sink_us = [&](Clock::time_point tp) { return SpanUs(sink->epoch(), tp); };
     uint32_t track = static_cast<uint32_t>(trace_id % 100000);
-    auto span_event = [&](const char* name, int64_t ts_us, int64_t dur_us) {
-      obs::TraceEvent e;
-      e.name = name;
-      e.cat = "serve";
-      e.ts_us = ts_us;
-      e.dur_us = dur_us;
-      e.tid = track;
-      e.trace_id = trace_id;
-      return e;
-    };
-    std::vector<obs::TraceEvent> tree;
-    tree.reserve(2 + p.spans.size());
-    tree.push_back(span_event("serve.request", to_sink_us(p.enqueued),
-                              SpanUs(p.enqueued, now)));
-    tree.push_back(span_event("serve.queue_wait", to_sink_us(p.enqueued),
-                              SpanUs(p.enqueued, drained)));
+    // Reused per thread, so recording the tree allocates nothing.
+    thread_local std::vector<obs::SpanRecord> tree;
+    tree.clear();
+    tree.push_back({"serve.request", "serve", sink_us(p.enqueued), SpanUs(p.enqueued, now),
+                    track, trace_id});
+    tree.push_back({"serve.queue_wait", "serve", sink_us(p.enqueued),
+                    SpanUs(p.enqueued, drained), track, trace_id});
     for (const StageSpan& s : p.spans) {
-      tree.push_back(span_event(s.name, to_sink_us(s.start), SpanUs(s.start, s.end)));
+      tree.push_back(
+          {s.name, "serve", sink_us(s.start), SpanUs(s.start, s.end), track, trace_id});
     }
-    sink->AddEvents(std::move(tree));
+    sink->AddSpans(tree.data(), tree.size());
   }
 
   // Rolling SLO window + flight recorder run regardless of the global obs
@@ -409,15 +441,13 @@ void ServeEngine::Fulfill(Pending& p, InsightResponse resp) {
   }
 
   if (obs::Enabled()) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    static obs::Counter& requests_counter = reg.GetCounter("serve.requests");
-    requests_counter.Add(1);
+    RequestsCounter().Add(1);
     if (error) {
-      reg.GetCounter("serve.errors").Add(1);
+      obs::MetricsRegistry::Global().GetCounter("serve.errors").Add(1);
     }
     LatencyHist().Observe(us);
     if (overrun) {
-      reg.GetCounter("serve.deadline.overruns").Add(1);
+      obs::MetricsRegistry::Global().GetCounter("serve.deadline.overruns").Add(1);
     }
     // Refresh the serve.slo.* gauges at most every 100 ms: snapshotting the
     // window merges every slice, too heavy for the per-request hot path.
@@ -428,7 +458,7 @@ void ServeEngine::Fulfill(Pending& p, InsightResponse resp) {
       slo_.ExportGauges(now_us);
     }
   }
-  p.promise.set_value(std::move(resp));
+  p.done(std::move(resp));
 }
 
 void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
@@ -470,8 +500,9 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
     }
     Slot slot;
     slot.pending = &p;
-    StageSpan parse_span{"serve.parse", Clock::now(), {}};
+    slot.workload_hash = HashWorkload(p.req.workload);
     if (!p.req.source.empty()) {
+      StageSpan parse_span{"serve.parse", Clock::now(), {}};
       ParseResult parsed = ParseProgram(p.req.source);
       if (!parsed.ok) {
         Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kParseError, parsed.error));
@@ -486,45 +517,33 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
         Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed, msg));
         continue;
       }
+      parse_span.end = Clock::now();
+      p.spans.push_back(parse_span);
       slot.program = std::move(parsed.program);
+      slot.program_hash = ProgramKey(slot.program);
+      if (ReplayCached(p, slot.program_hash, slot.workload_hash)) {
+        continue;
+      }
     } else {
-      std::optional<Program> element = FindElementByName(p.req.element);
-      if (!element) {
+      // A by-name request is keyed before its program is built, so a hit
+      // (its key filled while the request waited) builds nothing.
+      auto key = element_keys_.find(p.req.element);
+      if (key == element_keys_.end()) {
         Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kUnknownElement,
                                  "element '" + p.req.element + "' not in registry"));
         continue;
       }
-      slot.program = std::move(*element);
-    }
-    parse_span.end = Clock::now();
-    p.spans.push_back(parse_span);
-
-    slot.program_hash = Fnv1a64(ToSource(slot.program));
-    slot.workload_hash = HashWorkload(p.req.workload);
-    std::string cached = CacheGet(slot.program_hash, slot.workload_hash);
-    if (!cached.empty()) {
-      if (obs::Enabled()) {
-        obs::MetricsRegistry::Global().GetCounter("serve.cache.hits").Add(1);
+      slot.program_hash = key->second;
+      if (ReplayCached(p, slot.program_hash, slot.workload_hash)) {
+        continue;
       }
-      // Byte-identical replay of the cached body; only the id envelope
-      // differs per request.
-      p.cache_hit = true;
-      StageSpan encode_span{"serve.encode", Clock::now(), {}};
-      std::string payload = EncodeResponseWithBody(p.req.id, cached);
-      InsightResponse resp;
-      std::string err;
-      bool ok = ParseResponse(payload, &resp, &err);
-      encode_span.end = Clock::now();
-      p.spans.push_back(encode_span);
-      if (ok) {
-        Fulfill(p, std::move(resp));
-      } else {
-        Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kInternal, "cache decode: " + err));
-      }
-      continue;
+      StageSpan make_span{"serve.parse", Clock::now(), {}};
+      slot.program = *FindElementByName(p.req.element);
+      make_span.end = Clock::now();
+      p.spans.push_back(make_span);
     }
     if (obs::Enabled()) {
-      obs::MetricsRegistry::Global().GetCounter("serve.cache.misses").Add(1);
+      CacheMissesCounter().Add(1);
     }
     // Brownout prefers cache hits: a miss from the lowest priority class is
     // shed instead of spending inference on it, keeping batch slots for
@@ -593,60 +612,93 @@ void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
   }
 }
 
-std::string ServeEngine::CacheGet(uint64_t program_hash, uint64_t workload_hash) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(MixKey(program_hash, workload_hash));
-  if (it == cache_.end() || it->second->key_hi != program_hash ||
-      it->second->key_lo != workload_hash) {
+bool ServeEngine::ReplayCached(Pending& p, uint64_t program_hash, uint64_t workload_hash) {
+  std::string cached = cache_.Get(program_hash, workload_hash);
+  if (cached.empty()) {
+    return false;
+  }
+  if (obs::Enabled()) {
+    CacheHitsCounter().Add(1);
+  }
+  // Byte-identical replay of the cached body; only the id envelope differs
+  // per request.
+  p.cache_hit = true;
+  StageSpan encode_span{"serve.encode", Clock::now(), {}};
+  std::string payload = EncodeResponseWithBody(p.req.id, cached);
+  InsightResponse resp;
+  std::string err;
+  bool ok = ParseResponse(payload, &resp, &err);
+  encode_span.end = Clock::now();
+  p.spans.push_back(encode_span);
+  if (ok) {
+    Fulfill(p, std::move(resp));
+  } else {
+    Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kInternal, "cache decode: " + err));
+  }
+  return true;
+}
+
+void ServeEngine::CachePut(uint64_t program_hash, uint64_t workload_hash, std::string body,
+                           uint64_t version) {
+  // A batch that started before a reload finishes on the old model; its
+  // answers must not repopulate the freshly cleared cache.
+  if (version != artifact_version_.load(std::memory_order_acquire)) {
+    return;
+  }
+  size_t entries = cache_.Put(program_hash, workload_hash, std::move(body));
+  if (obs::Enabled()) {
+    obs::MetricsRegistry::Global()
+        .GetGauge("serve.cache.entries")
+        .Set(static_cast<double>(entries));
+  }
+}
+
+void ServeEngine::CacheClear() {
+  cache_.Clear();
+  if (obs::Enabled()) {
+    obs::MetricsRegistry::Global().GetGauge("serve.cache.entries").Set(0);
+  }
+}
+
+std::string AnswerCache::Get(uint64_t program_hash, uint64_t workload_hash) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(Key{program_hash, workload_hash});
+  if (it == map_.end()) {
     return std::string();
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // promote to front
   return it->second->body;
 }
 
-void ServeEngine::CachePut(uint64_t program_hash, uint64_t workload_hash, std::string body,
-                           uint64_t version) {
-  if (opts_.cache_capacity == 0) {
-    return;
+size_t AnswerCache::Put(uint64_t program_hash, uint64_t workload_hash, std::string body) {
+  if (capacity_ == 0) {
+    return 0;
   }
-  // A batch that started before a reload finishes on the old model; its
-  // answers must not repopulate the freshly cleared cache.
-  if (version != artifact_version_.load(std::memory_order_acquire)) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  uint64_t key = MixKey(program_hash, workload_hash);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
+  Key key{program_hash, workload_hash};
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it != map_.end()) {
     it->second->body = std::move(body);
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    return lru_.size();
   }
-  lru_.push_front(CacheEntry{program_hash, workload_hash, std::move(body)});
-  cache_[key] = lru_.begin();
-  while (lru_.size() > opts_.cache_capacity) {
-    const CacheEntry& victim = lru_.back();
-    cache_.erase(MixKey(victim.key_hi, victim.key_lo));
+  lru_.push_front(Entry{key, std::move(body)});
+  map_[key] = lru_.begin();
+  while (lru_.size() > capacity_) {
+    map_.erase(lru_.back().key);
     lru_.pop_back();
   }
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.cache.entries")
-        .Set(static_cast<double>(lru_.size()));
-  }
+  return lru_.size();
 }
 
-void ServeEngine::CacheClear() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
+void AnswerCache::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
-  cache_.clear();
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Global().GetGauge("serve.cache.entries").Set(0);
-  }
+  map_.clear();
 }
 
-size_t ServeEngine::cache_entries() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
+size_t AnswerCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
 }
 
@@ -745,9 +797,7 @@ std::vector<ServeEngine::Pending> ServeEngine::ShedLocked(size_t target_depth) {
     queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(victim));
   }
   if (obs::Enabled() && !victims.empty()) {
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.queue.depth")
-        .Sub(static_cast<double>(victims.size()));
+    QueueDepthGauge().Sub(static_cast<double>(victims.size()));
   }
   return victims;
 }

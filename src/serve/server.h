@@ -3,20 +3,32 @@
 // serve-many split.
 //
 // Architecture:
+//   * Admission: Submit() answers a by-name request whose answer is cached
+//     on the calling thread, at the cost of a table lookup, a cache probe
+//     and a replay: the constructor keys every registry element once, so a
+//     hit builds no Program and prints nothing. Everything else is queued
+//     (inline source unparsed: its key needs a parse, a type check and a
+//     print, which stay off the caller's thread).
 //   * Bounded request queue with admission control: Submit() fails fast with
 //     kQueueFull instead of queueing unboundedly, and answers kShutdown once
-//     Stop() has begun so no promise is ever abandoned.
+//     Stop() has begun so no request is ever abandoned. The queue, with its
+//     admission control and queue.admit fault site, deadlines, the dispatch
+//     fault site and brownout's shedding, applies only to queued work: a
+//     by-name hit is answered even when the queue is full or the engine is
+//     stopped.
 //   * Per-request deadlines: a request that expires while queued is answered
 //     with kDeadlineExceeded without being dispatched; one that finishes late
 //     still succeeds but bumps the serve.deadline.overruns counter.
 //   * Batched dispatch: the dispatcher drains up to max_batch requests,
-//     resolves each program and probes the cache, answering hits and errors
-//     first. Each miss then goes through ClaraAnalyzer's pipeline: one
-//     lowering into an NfInstance, PredictNf (its blocks in parallel on the
-//     shared thread pool), and the analysis proper.
-//   * LRU result cache keyed by (program content hash, workload hash); a hit
-//     replays the cached encoded response body byte-for-byte (only the
-//     echoed request id differs), skipping analysis entirely.
+//     resolves each program and probes the cache again (a key can be filled
+//     while its request waits), answering hits and errors first. Each miss
+//     then goes through ClaraAnalyzer's pipeline: one lowering into an
+//     NfInstance, PredictNf (its blocks in parallel on the shared thread
+//     pool), and the analysis proper.
+//   * LRU result cache (AnswerCache) keyed by (program content hash,
+//     workload hash); a hit replays the cached encoded response body
+//     byte-for-byte (only the echoed request id differs), skipping analysis
+//     entirely. Admission and the dispatcher share one replay path.
 //   * Hot artifact reload: the trained model lives in an immutable
 //     ModelSnapshot behind a mutex-guarded shared_ptr. Reload() builds and
 //     canary-validates a candidate entirely off the serving path, then
@@ -101,6 +113,47 @@ struct ServeOptions {
   uint32_t brownout_retry_after_ms = 50;
 };
 
+// The answer cache: an LRU map from a (program hash, workload hash) key to
+// an encoded response body. Thread-safe. The map is keyed on the whole pair,
+// so two keys whose Mix() collides still keep their own bodies.
+class AnswerCache {
+ public:
+  // A capacity of 0 caches nothing.
+  explicit AnswerCache(size_t capacity) : capacity_(capacity) {}
+
+  // The cached body, or an empty string. A hit becomes the most recent entry.
+  std::string Get(uint64_t program_hash, uint64_t workload_hash);
+  // Stores or replaces the body for a key as the most recent entry, evicting
+  // the least recent beyond capacity; returns the number of entries.
+  size_t Put(uint64_t program_hash, uint64_t workload_hash, std::string body);
+  void Clear();
+  size_t size() const;
+
+  // The hash that buckets a key (not its identity).
+  static uint64_t Mix(uint64_t program_hash, uint64_t workload_hash) {
+    return program_hash ^ (workload_hash * 0x9E3779B97F4A7C15ULL);
+  }
+
+ private:
+  struct Key {
+    uint64_t program;
+    uint64_t workload;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const { return Mix(k.program, k.workload); }
+  };
+  struct Entry {
+    Key key;
+    std::string body;
+  };
+
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  // front = most recent
+  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
+};
+
 class ServeEngine {
  public:
   explicit ServeEngine(TrainedBundle bundle, ServeOptions opts = ServeOptions{});
@@ -112,21 +165,27 @@ class ServeEngine {
   // Starts the dispatcher thread. Idempotent; re-arms submission after Stop().
   void Start();
   // Stops the dispatcher; queued-but-unprocessed requests are answered with
-  // kShutdown, and so is every Submit() that arrives once shutdown has
-  // begun — no promise is ever left unresolved. Idempotent; also called by
+  // kShutdown, and so is every Submit() that would queue once shutdown has
+  // begun — no request is ever left unanswered. Idempotent; also called by
   // the destructor.
   void Stop();
 
-  // Asynchronous submission. The future always yields a response — errors
-  // included — and resolves immediately with kQueueFull when the bounded
-  // queue is at capacity, kShedded when brownout load-shedding rejects it,
-  // or kShutdown when the engine is stopping. request_bytes is the wire
-  // payload size when the request arrived over a transport (0 for
-  // in-process callers); it only feeds the flight recorder.
+  // Asynchronous submission: `done` is called exactly once with the
+  // response, errors included. It runs on the thread that answers: the
+  // caller's, inside Submit(), for an admission answer (a by-name cache hit,
+  // kQueueFull when the bounded queue is at capacity, kShedded when brownout
+  // load-shedding rejects it, kShutdown when the engine is stopping, an
+  // injected queue.admit fault), the dispatcher's otherwise. It must not
+  // block. request_bytes is the wire payload size when the request arrived
+  // over a transport (0 for in-process callers); it only feeds the flight
+  // recorder.
+  void Submit(InsightRequest req, uint32_t request_bytes,
+              std::function<void(InsightResponse)> done);
+  // The same, with the response delivered through a future.
   std::future<InsightResponse> Submit(InsightRequest req, uint32_t request_bytes = 0);
 
-  // Synchronous convenience: Submit + wait. Works without Start() (processes
-  // inline as a batch of one).
+  // Synchronous convenience: Submit + wait. Works without Start(): runs the
+  // admission step, then processes the request inline as a batch of one.
   InsightResponse Handle(InsightRequest req, uint32_t request_bytes = 0);
 
   // Decode a raw request payload, handle it, and encode the response —
@@ -184,7 +243,12 @@ class ServeEngine {
   std::string HandleControl(std::string_view payload);
 
   bool running() const { return running_; }
-  size_t cache_entries() const;
+  size_t cache_entries() const { return cache_.size(); }
+  // Cache key program half of every registry element, by name: what a
+  // by-name request is keyed on.
+  const std::unordered_map<std::string, uint64_t>& element_keys() const {
+    return element_keys_;
+  }
   // The current snapshot's analyzer. In-process/test convenience: the
   // reference is only stable while no concurrent Reload() swaps the model.
   const ClaraAnalyzer& analyzer() const { return Model()->analyzer; }
@@ -215,7 +279,7 @@ class ServeEngine {
 
   struct Pending {
     InsightRequest req;
-    std::promise<InsightResponse> promise;
+    std::function<void(InsightResponse)> done;
     Clock::time_point enqueued;
     Clock::time_point drained;   // when the dispatcher picked it up
     Clock::time_point deadline;  // only meaningful when has_deadline
@@ -224,6 +288,16 @@ class ServeEngine {
     uint32_t request_bytes = 0;  // wire payload size (0 for in-process calls)
     std::vector<StageSpan> spans;
   };
+
+  // A request as admitted now, its deadline budget halved under brownout.
+  Pending NewPending(InsightRequest req, uint32_t request_bytes,
+                     std::function<void(InsightResponse)> done);
+  // Admission step: answers a by-name request whose answer is cached.
+  // Returns false, touching nothing, when the request must be queued.
+  bool AnswerAtAdmission(Pending& p);
+  // Replays the cached answer for the key, if any, and fulfils p with it:
+  // the one replay path of admission and dispatch.
+  bool ReplayCached(Pending& p, uint64_t program_hash, uint64_t workload_hash);
 
   void Loop();
   void ProcessBatch(std::vector<Pending> batch);
@@ -253,7 +327,6 @@ class ServeEngine {
   // Microseconds since engine construction (the SLO/flight timeline).
   int64_t NowUs() const;
 
-  std::string CacheGet(uint64_t program_hash, uint64_t workload_hash);
   // `version` is the model generation the body was computed with; stale
   // puts (an in-flight batch finishing after a reload) are dropped.
   void CachePut(uint64_t program_hash, uint64_t workload_hash, std::string body,
@@ -261,6 +334,8 @@ class ServeEngine {
   void CacheClear();
 
   ServeOptions opts_;
+  // Built once by the constructor; read-only afterwards.
+  std::unordered_map<std::string, uint64_t> element_keys_;
 
   // Serving model. model_mu_ guards only the pointer swap; the snapshot
   // itself never changes.
@@ -307,15 +382,7 @@ class ServeEngine {
   bool running_ = false;
   std::thread dispatcher_;
 
-  // LRU cache: list front = most recent; map values point into the list.
-  struct CacheEntry {
-    uint64_t key_hi;
-    uint64_t key_lo;
-    std::string body;
-  };
-  mutable std::mutex cache_mu_;
-  std::list<CacheEntry> lru_;
-  std::unordered_map<uint64_t, std::list<CacheEntry>::iterator> cache_;
+  AnswerCache cache_;
 };
 
 }  // namespace serve

@@ -236,6 +236,30 @@ TEST(TraceSink, ScopedSpanRecordsDuration) {
   EXPECT_GE(events[0].dur_us, 0);
 }
 
+TEST(TraceSink, SpanRecordsRenderAsCompleteEvents) {
+  TraceSink sink;
+  sink.AddComplete("stage.one", "pipeline", 1, 2);
+  const SpanRecord spans[] = {{"serve.request", "serve", 10, 5, 7, 42},
+                              {"serve.queue_wait", "serve", 10, 0, 7, 42}};
+  sink.AddSpans(spans, 2);
+  EXPECT_EQ(sink.size(), 3u);
+  std::vector<TraceEvent> events = sink.Events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].name, "stage.one");
+  EXPECT_EQ(events[1].name, "serve.request");
+  EXPECT_EQ(events[1].cat, "serve");
+  EXPECT_EQ(events[1].ph, 'X');
+  EXPECT_EQ(events[1].ts_us, 10);
+  EXPECT_EQ(events[1].dur_us, 5);
+  EXPECT_EQ(events[1].tid, 7u);
+  EXPECT_EQ(events[1].trace_id, 42u);
+  EXPECT_EQ(events[2].name, "serve.queue_wait");
+  EXPECT_NE(sink.ToChromeJson().find("{\"name\":\"serve.request\",\"cat\":\"serve\","
+                                     "\"ph\":\"X\",\"ts\":10,\"pid\":1,\"tid\":7,"
+                                     "\"dur\":5,\"args\":{\"trace_id\":42}}"),
+            std::string::npos);
+}
+
 TEST(TraceSink, NoSinkMeansNoCollection) {
   SetGlobalTrace(nullptr);
   {

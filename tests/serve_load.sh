@@ -58,7 +58,7 @@ test -f "$WORK/models/clara_bundle.bin"
 
 echo "== start the epoll daemon =="
 "$SERVE" --socket="$WORK/epoll.sock" --model-dir="$WORK/models" \
-  --shards=2 --profile-packets=200 --slo-p99-us="$SLO_P99_US" \
+  --profile-packets=200 --slo-p99-us="$SLO_P99_US" \
   2> "$WORK/epoll.log" &
 pids+=($!)
 wait_for_socket "$WORK/epoll.sock"

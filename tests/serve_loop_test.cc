@@ -5,8 +5,8 @@
 //
 // Runs as one ctest entry (clara_test_whole): the trained bundle fixture is
 // shared across every test in the binary, and the Loop.* tests also run
-// under the ThreadSanitizer target (tsan_check) — the loop thread, shard
-// workers, engine dispatcher and client threads all interleave here.
+// under the ThreadSanitizer target (tsan_check) — the loop thread, engine
+// dispatcher and client threads all interleave here.
 #include <gtest/gtest.h>
 
 #include <errno.h>
@@ -84,12 +84,6 @@ serve::ServeOptions FastServeOptions() {
 
 const char* kElements[] = {"aggcounter", "heavyhitter", "udpcount", "iplookup"};
 
-serve::EventLoopOptions LoopOpts(size_t shards) {
-  serve::EventLoopOptions lopts;
-  lopts.shards = shards;
-  return lopts;
-}
-
 serve::InsightRequest ElementRequest(uint64_t id, const std::string& element) {
   serve::InsightRequest req;
   req.id = id;
@@ -125,10 +119,14 @@ class LoopHarness {
     return true;
   }
 
+  // Stops the loop, then destroys it before stopping the engine: a request
+  // callback that outlived Run() would touch a destroyed loop, which the
+  // sanitizer builds report.
   void StopLoop() {
     if (thread_.joinable()) {
       stop_.store(1);
       thread_.join();
+      loop_.reset();
       engine_.Stop();
     }
   }
@@ -217,7 +215,7 @@ bool ReadResponses(int fd, size_t expect, std::vector<serve::InsightResponse>* o
 TEST(Loop, InterleavedPartialFramesAcross64Connections) {
   constexpr size_t kConns = 64;
   constexpr size_t kPerConn = 3;
-  LoopHarness h(LoopOpts(3));
+  LoopHarness h(serve::EventLoopOptions{});
   ASSERT_TRUE(h.StartLoop());
 
   // Reference bodies straight from the engine (also warms the cache).
@@ -286,7 +284,6 @@ TEST(Loop, InterleavedPartialFramesAcross64Connections) {
 // the daemon's memory without bound.
 TEST(Loop, SlowReaderIsDisconnected) {
   serve::EventLoopOptions lopts;
-  lopts.shards = 2;
   lopts.max_outbound_bytes = 2048;  // tiny: a handful of responses
   LoopHarness h(lopts);
   ASSERT_TRUE(h.StartLoop());
@@ -353,7 +350,7 @@ TEST(Loop, SlowReaderIsDisconnected) {
 // Control frames are answered inline by the loop thread, and the stats
 // envelope carries the transport object while the engine keeps serving.
 TEST(Loop, ControlFramesAnsweredInlineWithTransportStats) {
-  LoopHarness h(LoopOpts(2));
+  LoopHarness h(serve::EventLoopOptions{});
   ASSERT_TRUE(h.StartLoop());
   h.engine().SetTransportStatsProvider([&h] { return h.loop().StatsJson(); });
 
@@ -383,7 +380,10 @@ TEST(Loop, ControlFramesAnsweredInlineWithTransportStats) {
   EXPECT_TRUE(cresp.ok);
   EXPECT_NE(cresp.json.find("\"transport\":{"), std::string::npos);
   EXPECT_NE(cresp.json.find("\"mode\":\"epoll\""), std::string::npos);
-  EXPECT_NE(cresp.json.find("\"shards\":2"), std::string::npos);
+  EXPECT_NE(cresp.json.find("\"conn_active\":1,"), std::string::npos) << cresp.json;
+  EXPECT_NE(cresp.json.find("\"conn_accepted\":1,"), std::string::npos) << cresp.json;
+  EXPECT_NE(cresp.json.find("\"frames_in\":1,"), std::string::npos) << cresp.json;
+  EXPECT_EQ(cresp.json.find("\"shards\""), std::string::npos) << cresp.json;
   ::close(fd);
   h.engine().SetTransportStatsProvider(nullptr);
 }
@@ -391,7 +391,7 @@ TEST(Loop, ControlFramesAnsweredInlineWithTransportStats) {
 // An oversized frame answers with a structured kOversized error and the
 // connection keeps working for well-formed frames after it.
 TEST(Loop, OversizedFrameAnsweredAndConnectionSurvives) {
-  LoopHarness h(LoopOpts(1));
+  LoopHarness h(serve::EventLoopOptions{});
   ASSERT_TRUE(h.StartLoop());
   int fd = h.Connect();
   ASSERT_GE(fd, 0);
@@ -413,6 +413,65 @@ TEST(Loop, OversizedFrameAnsweredAndConnectionSurvives) {
   ::close(fd);
 }
 
+// One send carries a miss, then a hit. The hit is answered first, at
+// admission on the loop thread, but its bytes wait in the connection's FIFO
+// until the miss's are written.
+TEST(Loop, HitBehindAMissIsAnsweredInRequestOrder) {
+  LoopHarness h(serve::EventLoopOptions{});
+  ASSERT_TRUE(h.StartLoop());
+  ASSERT_EQ(h.engine().Handle(ElementRequest(1, "aggcounter")).error,
+            serve::ErrorCode::kOk);
+
+  int fd = h.Connect();
+  ASSERT_GE(fd, 0);
+  std::string out;
+  serve::AppendFrame(&out, serve::EncodeRequest(ElementRequest(2, "heavyhitter")));
+  serve::AppendFrame(&out, serve::EncodeRequest(ElementRequest(3, "aggcounter")));
+  ASSERT_TRUE(WriteAllFd(fd, out));
+  std::vector<serve::InsightResponse> resps;
+  ASSERT_TRUE(ReadResponses(fd, 2, &resps));
+  EXPECT_EQ(resps[0].id, 2u);
+  EXPECT_FALSE(resps[0].breakdown.cache_hit);
+  EXPECT_EQ(resps[1].id, 3u);
+  EXPECT_TRUE(resps[1].breakdown.cache_hit);
+  ::close(fd);
+}
+
+// Stopping the loop with misses in flight: Run() returns only once every
+// request callback has run (they capture the loop), so each answer still
+// reaches its client in the last flush before the connection closes.
+TEST(Loop, StopWaitsForInFlightCallbacks) {
+  constexpr int kMisses = 4;
+  serve::ServeOptions sopts = FastServeOptions();
+  sopts.profile_packets = 1000;  // misses that are still running at the stop
+  LoopHarness h(serve::EventLoopOptions{}, sopts);
+  ASSERT_TRUE(h.StartLoop());
+  int fd = h.Connect();
+  ASSERT_GE(fd, 0);
+  std::string out;
+  for (int i = 0; i < kMisses; ++i) {
+    serve::InsightRequest req = ElementRequest(i + 1, "wepdecap");
+    req.workload.seed += static_cast<uint64_t>(i);  // a new key each: all misses
+    serve::AppendFrame(&out, serve::EncodeRequest(req));
+  }
+  ASSERT_TRUE(WriteAllFd(fd, out));
+  // Frames are counted as they are read, and one read submits all of them
+  // before the loop looks at its stop flag again.
+  std::string read_all = "\"frames_in\":" + std::to_string(kMisses) + ",";
+  while (h.loop().StatsJson().find(read_all) == std::string::npos) {
+    ::usleep(1000);
+  }
+  h.StopLoop();
+
+  std::vector<serve::InsightResponse> resps;
+  ASSERT_TRUE(ReadResponses(fd, kMisses, &resps));
+  for (int i = 0; i < kMisses; ++i) {
+    EXPECT_EQ(resps[i].id, static_cast<uint64_t>(i + 1));
+    EXPECT_EQ(resps[i].error, serve::ErrorCode::kOk) << resps[i].error_message;
+  }
+  ::close(fd);
+}
+
 // Connection churn during hot reload: clients connect, exchange, disconnect
 // in a loop while the model is reloaded repeatedly. The artifact version
 // must advance and not a single in-flight request may be dropped or
@@ -420,7 +479,7 @@ TEST(Loop, OversizedFrameAnsweredAndConnectionSurvives) {
 TEST(Loop, ConnectionChurnDuringHotReload) {
   constexpr size_t kClients = 8;
   constexpr int kRounds = 12;
-  LoopHarness h(LoopOpts(3));
+  LoopHarness h(serve::EventLoopOptions{});
   ASSERT_TRUE(h.StartLoop());
 
   std::vector<std::string> want;

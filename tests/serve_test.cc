@@ -576,6 +576,90 @@ TEST(Engine, AdmissionControlRejectsWhenQueueIsFull) {
   engine.Stop();
 }
 
+// A by-name hit is answered at admission, on the submitting thread: it does
+// not wait for the dispatcher. The miss's callback holds the dispatcher
+// inside that miss until the hit has been answered.
+TEST(Engine, ByNameHitIsAnsweredWhileTheDispatcherRunsAMiss) {
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  ASSERT_EQ(engine.Handle(ElementRequest(1, "aggcounter")).error, serve::ErrorCode::kOk);
+  engine.Start();
+  std::promise<void> in_miss;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> miss_done{false};
+  engine.Submit(ElementRequest(2, "heavyhitter"), 0, [&](serve::InsightResponse resp) {
+    EXPECT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+    in_miss.set_value();
+    released.wait();
+    miss_done = true;
+  });
+  in_miss.get_future().wait();
+
+  std::future<serve::InsightResponse> hit = engine.Submit(ElementRequest(3, "aggcounter"));
+  ASSERT_EQ(hit.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_FALSE(miss_done.load());
+  serve::InsightResponse resp = hit.get();
+  EXPECT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+  EXPECT_EQ(resp.id, 3u);
+  EXPECT_TRUE(resp.breakdown.cache_hit);
+  EXPECT_EQ(resp.breakdown.queue_us, 0u);
+  EXPECT_EQ(resp.breakdown.parse_us, 0u);
+  release.set_value();
+  engine.Stop();
+  EXPECT_TRUE(miss_done.load());
+}
+
+// Admission control bounds the queue, and a by-name hit never enters it.
+TEST(Engine, ByNameHitIsAnsweredWhenTheQueueIsFull) {
+  serve::ServeOptions opts = FastServeOptions();
+  opts.queue_capacity = 1;
+  serve::ServeEngine engine(ReloadedBundle(), opts);
+  ASSERT_EQ(engine.Handle(ElementRequest(1, "aggcounter")).error, serve::ErrorCode::kOk);
+  // Not started: the queued miss fills the queue and stays there.
+  std::future<serve::InsightResponse> queued = engine.Submit(ElementRequest(2, "heavyhitter"));
+  EXPECT_EQ(engine.Submit(ElementRequest(3, "udpcount")).get().error,
+            serve::ErrorCode::kQueueFull);
+  std::future<serve::InsightResponse> hit = engine.Submit(ElementRequest(4, "aggcounter"));
+  ASSERT_EQ(hit.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  serve::InsightResponse resp = hit.get();
+  EXPECT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+  EXPECT_EQ(resp.id, 4u);
+  EXPECT_TRUE(resp.breakdown.cache_hit);
+  engine.Start();
+  EXPECT_EQ(queued.get().error, serve::ErrorCode::kOk);
+  engine.Stop();
+}
+
+// By-name requests are keyed from a table built at construction; it must
+// hold exactly the key the printed program would give.
+TEST(Engine, ElementKeysAreThePrintedProgramHashes) {
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  EXPECT_EQ(engine.element_keys().size(), ElementRegistry().size());
+  for (const auto& info : ElementRegistry()) {
+    auto it = engine.element_keys().find(info.name);
+    ASSERT_NE(it, engine.element_keys().end()) << info.name;
+    EXPECT_EQ(it->second, Fnv1a64(ToSource(*FindElementByName(info.name)))) << info.name;
+  }
+}
+
+// Two keys whose bucket hash collides keep their own answers: the cache map
+// is keyed on the whole (program, workload) pair, not on its mix.
+TEST(AnswerCache, KeysWithACollidingMixKeepTheirOwnBodies) {
+  constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+  uint64_t p1 = 0x0123456789ABCDEFULL;
+  uint64_t w1 = 7;
+  uint64_t w2 = 8;
+  uint64_t p2 = p1 ^ (w1 * kGolden) ^ (w2 * kGolden);
+  ASSERT_EQ(serve::AnswerCache::Mix(p1, w1), serve::AnswerCache::Mix(p2, w2));
+  serve::AnswerCache cache(8);
+  cache.Put(p1, w1, "first");
+  cache.Put(p2, w2, "second");
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Get(p1, w1), "first");
+  EXPECT_EQ(cache.Get(p2, w2), "second");
+  EXPECT_EQ(cache.Get(p1, w2), "");
+}
+
 TEST(Engine, ExpiredDeadlineIsRejectedAtDispatch) {
   serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
   serve::InsightRequest req = ElementRequest(1, "aggcounter");

@@ -9,19 +9,21 @@
 //                   stdout (the default; composes with clara_client --emit)
 //   --socket=PATH   listen on a Unix domain socket through an epoll event
 //                   loop (src/serve/eventloop.h) serving many clients
-//                   concurrently: per-connection frame reassembly, a sharded
-//                   worker pool feeding the engine queue (--shards=N), and
-//                   bounded per-connection write buffers
-//                   (--max-outbound-bytes) that disconnect slow readers. A
-//                   failed connection is dropped and logged — the daemon
-//                   keeps serving the others. Socket mode takes a flock()'d
-//                   "<socket>.pid" pidfile before unlinking the path, so a
-//                   second daemon refuses to start instead of deleting a live
-//                   sibling's socket.
+//                   concurrently: per-connection frame reassembly, each
+//                   frame submitted to the engine from the loop thread with
+//                   a completion callback, responses written in request
+//                   order per connection, and bounded per-connection write
+//                   buffers (--max-outbound-bytes) that disconnect slow
+//                   readers. A failed connection is dropped and logged — the
+//                   daemon keeps serving the others. Socket mode takes a
+//                   flock()'d "<socket>.pid" pidfile before unlinking the
+//                   path, so a second daemon refuses to start instead of
+//                   deleting a live sibling's socket.
 //
-// Requests buffered at once are submitted to the serving engine together,
-// and its dispatcher drains them as one batch (connections on different
-// shards share the Submit() funnel): cache hits and errors are answered
+// A by-name request whose answer is cached is answered on the thread that
+// read it (the loop thread, or the pipe reader), with no thread handoff.
+// Every other request goes to the engine's one queue, and its dispatcher
+// drains up to --batch of them at a time: cache hits and errors are answered
 // first, then each miss is analyzed, its blocks predicted in parallel.
 // Malformed payloads and oversized frames get structured error responses;
 // SIGINT/SIGTERM shut the daemon down cleanly.
@@ -211,8 +213,7 @@ int ServeEpoll(serve::ServeEngine& engine, const std::string& bundle_path,
     return 1;
   }
   engine.SetTransportStatsProvider([&loop] { return loop.StatsJson(); });
-  std::fprintf(stderr, "clara_serve: listening on %s (epoll, %zu shard(s))\n",
-               path.c_str(), loop.shards());
+  std::fprintf(stderr, "clara_serve: listening on %s (epoll)\n", path.c_str());
   int rc = loop.Run(&g_stop, [&engine, &bundle_path] {
     MaybeDumpFlight(engine);
     MaybeReload(engine, bundle_path);
@@ -224,8 +225,7 @@ int ServeEpoll(serve::ServeEngine& engine, const std::string& bundle_path,
 int Usage() {
   std::fprintf(stderr,
                "usage: clara_serve --model-dir=DIR [--pipe | --socket=PATH]\n"
-               "                   [--shards=N] [--max-outbound-bytes=N]\n"
-               "                   [--max-conns=N]\n"
+               "                   [--max-outbound-bytes=N] [--max-conns=N]\n"
                "                   [--queue=N] [--batch=N] [--cache=N]\n"
                "                   [--profile-packets=N]\n"
                "                   [--infer=f64|f32]\n"
@@ -265,8 +265,6 @@ int main(int argc, char** argv) {
       // default transport
     } else if (a.rfind("--socket=", 0) == 0) {
       socket_path = a.substr(std::strlen("--socket="));
-    } else if (a.rfind("--shards=", 0) == 0) {
-      loop_opts.shards = std::strtoul(a.c_str() + std::strlen("--shards="), nullptr, 10);
     } else if (a.rfind("--max-outbound-bytes=", 0) == 0) {
       loop_opts.max_outbound_bytes =
           std::strtoul(a.c_str() + std::strlen("--max-outbound-bytes="), nullptr, 10);
