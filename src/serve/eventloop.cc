@@ -102,10 +102,14 @@ void EventLoop::NotifyLoop(const std::shared_ptr<Conn>& conn) {
     std::lock_guard<std::mutex> lock(comp_mu_);
     completions_.push_back(conn);
   }
-  uint64_t one = 1;
-  // The eventfd counter saturates rather than blocks; a failed write only
-  // delays the flush to the next epoll timeout tick.
-  (void)!::write(wake_, &one, sizeof(one));
+  // The loop drains the queue after every epoll batch, so only a completion
+  // on another thread has to wake it.
+  if (std::this_thread::get_id() != loop_thread_) {
+    uint64_t one = 1;
+    // The eventfd counter saturates rather than blocks; a failed write only
+    // delays the flush to the next epoll timeout tick.
+    (void)!::write(wake_, &one, sizeof(one));
+  }
 }
 
 bool EventLoop::SubmitFrame(const std::shared_ptr<Conn>& conn, std::string_view frame) {
@@ -138,10 +142,9 @@ bool EventLoop::SubmitFrame(const std::shared_ptr<Conn>& conn, std::string_view 
                    std::string out;
                    AppendFrame(&out, EncodeResponse(resp));
                    FillSlot(conn, seq, std::move(out));
-                   // On the loop thread the read that submitted it flushes.
-                   if (std::this_thread::get_id() != loop_thread_) {
-                     NotifyLoop(conn);
-                   }
+                   // Also on the loop thread: a request displaced by a
+                   // newcomer is answered there, on another connection.
+                   NotifyLoop(conn);
                    CallbackDone();
                  });
   return true;
@@ -153,13 +156,17 @@ void EventLoop::FillSlot(const std::shared_ptr<Conn>& conn, uint64_t seq,
   if (conn->closed) {
     return;  // CloseConn dropped the slots with the buffer
   }
+  conn->slot_bytes += frame.size();
   conn->slots[seq - conn->first_slot] = std::move(frame);
   while (!conn->slots.empty() && !conn->slots.front().empty()) {
+    conn->slot_bytes -= conn->slots.front().size();
     conn->outbound += conn->slots.front();
     conn->slots.pop_front();
     ++conn->first_slot;
   }
-  if (conn->outbound.size() > opts_.max_outbound_bytes) {
+  // Answers parked behind an unanswered slot count against the cap too, or
+  // a client could pile cached bodies up behind one slow miss.
+  if (conn->outbound.size() + conn->slot_bytes > opts_.max_outbound_bytes) {
     conn->overflow = true;
   }
 }
@@ -180,7 +187,7 @@ void EventLoop::AppendOutbound(const std::shared_ptr<Conn>& conn,
     return;
   }
   conn->outbound.append(bytes.data(), bytes.size());
-  if (conn->outbound.size() > opts_.max_outbound_bytes) {
+  if (conn->outbound.size() + conn->slot_bytes > opts_.max_outbound_bytes) {
     conn->overflow = true;
   }
 }
@@ -254,6 +261,7 @@ void EventLoop::CloseConn(const std::shared_ptr<Conn>& conn, bool error, bool sl
     conn->closed = true;
     conn->outbound.clear();
     conn->slots.clear();
+    conn->slot_bytes = 0;
   }
   ::epoll_ctl(epoll_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
@@ -407,18 +415,15 @@ void EventLoop::HandleConnWritable(const std::shared_ptr<Conn>& conn) {
 }
 
 void EventLoop::DrainCompletions() {
-  uint64_t junk;
-  while (::read(wake_, &junk, sizeof(junk)) > 0) {
-  }
-  std::vector<std::shared_ptr<Conn>> ready;
   {
     std::lock_guard<std::mutex> lock(comp_mu_);
-    ready.swap(completions_);
+    draining_.swap(completions_);
   }
-  for (const auto& conn : ready) {
+  for (const auto& conn : draining_) {
     FlushConn(conn);
     MaybeFinishConn(conn);
   }
+  draining_.clear();  // keeps its capacity for the next swap
 }
 
 int EventLoop::Run(const std::atomic<int>* stop, const std::function<void()>& tick) {
@@ -445,8 +450,10 @@ int EventLoop::Run(const std::atomic<int>* stop, const std::function<void()>& ti
         continue;
       }
       if (fd == wake_) {
-        DrainCompletions();
-        continue;
+        uint64_t junk;
+        while (::read(wake_, &junk, sizeof(junk)) > 0) {
+        }
+        continue;  // its completions are drained after the batch
       }
       auto it = conns_.find(fd);
       if (it == conns_.end()) {
@@ -467,6 +474,7 @@ int EventLoop::Run(const std::atomic<int>* stop, const std::function<void()>& ti
         HandleConnWritable(conn);
       }
     }
+    DrainCompletions();
   }
 
   // Wait for the engine to answer everything already submitted (the

@@ -20,19 +20,23 @@
 //     control plane stays responsive when the request queue is saturated.
 //   * Writes are buffered per connection and flushed with non-blocking
 //     send(): EAGAIN arms EPOLLOUT and the flush resumes when the socket
-//     drains. A client that stops reading while responses pile up past
-//     max_outbound_bytes is disconnected (slow-client backpressure) rather
-//     than allowed to grow the buffer without bound.
+//     drains. A client whose answers pile up past max_outbound_bytes, in
+//     the outbound buffer and in filled slots waiting behind an unanswered
+//     one, is disconnected (slow-client backpressure) rather than allowed
+//     to grow the daemon's memory without bound.
 //   * Connection-count and fd-churn gauges (serve.conn.active/accepted/
 //     closed/...) feed the obs registry, and StatsJson() renders the same
 //     numbers as the "transport" object of the stats envelope.
 //
-// The loop thread owns fds and the epoll set exclusively. A completion on
-// the loop thread appends its bytes and the loop flushes after the read; one
-// on the dispatcher touches only the connection's slots and outbound buffer
-// (under its mutex) and wakes the loop through an eventfd. An injected fault
-// at the sock.accept/sock.read/sock.write sites costs the connection it
-// hits, never the daemon.
+// The loop thread owns fds and the epoll set exclusively. Every completion
+// touches only its connection's slots and outbound buffer (under its mutex)
+// and queues the connection for a flush; the loop flushes the queue after
+// each epoll batch, and a completion on another thread (the dispatcher's)
+// also wakes it through an eventfd. A completion can land on a connection
+// other than the one being read: a brownout displacement answers the
+// displaced request inside the newcomer's Submit(). An injected fault at the
+// sock.accept/sock.read/sock.write sites costs the connection it hits, never
+// the daemon.
 #ifndef SRC_SERVE_EVENTLOOP_H_
 #define SRC_SERVE_EVENTLOOP_H_
 
@@ -57,8 +61,9 @@ namespace serve {
 
 struct EventLoopOptions {
   std::string socket_path;
-  // Per-connection outbound buffer cap; exceeding it disconnects the client
-  // (slow-reader backpressure).
+  // Per-connection cap on answered bytes not yet sent (the outbound buffer
+  // plus filled slots behind an unanswered one); exceeding it disconnects
+  // the client (slow-reader backpressure).
   size_t max_outbound_bytes = 4u << 20;
   // Connections beyond this are accepted and immediately closed.
   size_t max_connections = 1024;
@@ -115,6 +120,7 @@ class EventLoop {
     // One slot per submitted insight frame, oldest first: its encoded
     // response frame once answered, empty while in flight.
     std::deque<std::string> slots;
+    size_t slot_bytes = 0;     // bytes in filled slots, counted against the cap
     uint64_t first_slot = 0;   // sequence number of slots.front()
     bool closed = false;       // loop closed the fd; no more frames are
                                // submitted and completions drop their bytes
@@ -127,7 +133,8 @@ class EventLoop {
   // (nothing taken) once the connection is closed or over its outbound cap.
   bool SubmitFrame(const std::shared_ptr<Conn>& conn, std::string_view frame);
   // Fills slot `seq` with an encoded response frame, moving the filled run at
-  // the head of the FIFO to outbound. Any thread.
+  // the head of the FIFO to outbound, and flags the connection for a
+  // disconnect once its answered bytes pass the cap. Any thread.
   void FillSlot(const std::shared_ptr<Conn>& conn, uint64_t seq, std::string frame);
   // The end of every engine callback: lets Run() return once none is left.
   void CallbackDone();
@@ -135,6 +142,7 @@ class EventLoop {
   void HandleListener();
   void HandleConnReadable(const std::shared_ptr<Conn>& conn);
   void HandleConnWritable(const std::shared_ptr<Conn>& conn);
+  // Flushes every connection a completion queued. Loop thread only.
   void DrainCompletions();
 
   // Appends bytes to conn->outbound (loop thread); a no-op once the
@@ -147,6 +155,8 @@ class EventLoop {
   // Closes once the peer hung up, no slot is left and the buffer drained.
   // Loop thread only.
   void MaybeFinishConn(const std::shared_ptr<Conn>& conn);
+  // Queues the connection for DrainCompletions(), waking the loop when
+  // called off the loop thread. Any thread.
   void NotifyLoop(const std::shared_ptr<Conn>& conn);
   void UpdateEpollInterest(const std::shared_ptr<Conn>& conn);
 
@@ -168,6 +178,7 @@ class EventLoop {
   // last looked.
   std::mutex comp_mu_;
   std::vector<std::shared_ptr<Conn>> completions_;
+  std::vector<std::shared_ptr<Conn>> draining_;  // loop thread only
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> closed_{0};

@@ -12,6 +12,7 @@
 #include <errno.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -19,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -205,6 +207,56 @@ bool ReadResponses(int fd, size_t expect, std::vector<serve::InsightResponse>* o
   }
   return true;
 }
+
+// Makes a blocking read on fd give up after `seconds`.
+void SetRecvTimeout(int fd, int seconds) {
+  struct timeval tv;
+  tv.tv_sec = seconds;
+  tv.tv_usec = 0;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+// Waits up to 10 s for the engine's queue to hold `depth` requests.
+bool WaitForQueueDepth(serve::ServeEngine& engine, size_t depth) {
+  std::string want = "\"queue_depth\":" + std::to_string(depth) + ",";
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.HealthJson().find(want) == std::string::npos) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    ::usleep(1000);
+  }
+  return true;
+}
+
+// Holds the engine's dispatcher inside a request callback until Release()
+// (or destruction), so whatever is submitted meanwhile stays queued.
+class DispatcherHold {
+ public:
+  explicit DispatcherHold(serve::ServeEngine& engine) {
+    std::future<void> entered = entered_.get_future();
+    engine.Submit(ElementRequest(0, "no-such-element"), 0,
+                  [entered = &entered_, released = released_](serve::InsightResponse) {
+                    entered->set_value();
+                    released.wait();
+                  });
+    entered.wait();
+  }
+  ~DispatcherHold() { Release(); }
+
+  void Release() {
+    if (!released_flag_) {
+      released_flag_ = true;
+      release_.set_value();
+    }
+  }
+
+ private:
+  std::promise<void> entered_;
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+  bool released_flag_ = false;
+};
 
 // ---- tests ----
 
@@ -434,6 +486,96 @@ TEST(Loop, HitBehindAMissIsAnsweredInRequestOrder) {
   EXPECT_FALSE(resps[0].breakdown.cache_hit);
   EXPECT_EQ(resps[1].id, 3u);
   EXPECT_TRUE(resps[1].breakdown.cache_hit);
+  ::close(fd);
+}
+
+// Under brownout a newcomer on one connection displaces a queued request
+// from another. The displaced request is answered inside the newcomer's
+// Submit(), on the loop thread, while the loop reads the newcomer's
+// connection; its own connection must still be flushed, though it sends
+// nothing more.
+TEST(Loop, DisplacedRequestIsAnsweredOnItsOwnConnection) {
+  serve::ServeOptions sopts = FastServeOptions();
+  sopts.queue_capacity = 2;  // brownout's displacement watermark: 1 queued
+  sopts.slo_p99_us = 0.5;    // every real request busts the SLO
+  LoopHarness h(serve::EventLoopOptions{}, sopts);
+  ASSERT_TRUE(h.StartLoop());
+  ASSERT_EQ(h.engine().Handle(ElementRequest(1, "aggcounter")).error,
+            serve::ErrorCode::kOk);
+  bool active = false;
+  for (int i = 0; i < 100 && !active; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    active = h.engine().brownout_active();
+  }
+  ASSERT_TRUE(active) << "brownout never engaged";
+  DispatcherHold hold(h.engine());
+
+  int low = h.Connect();
+  int high = h.Connect();
+  ASSERT_GE(low, 0);
+  ASSERT_GE(high, 0);
+  SetRecvTimeout(low, 5);
+  SetRecvTimeout(high, 10);
+  std::string out;
+  serve::AppendFrame(&out, serve::EncodeRequest(ElementRequest(2, "heavyhitter")));
+  ASSERT_TRUE(WriteAllFd(low, out));
+  ASSERT_TRUE(WaitForQueueDepth(h.engine(), 1)) << h.engine().HealthJson();
+  serve::InsightRequest vip = ElementRequest(3, "udpcount");
+  vip.priority = 9;
+  out.clear();
+  serve::AppendFrame(&out, serve::EncodeRequest(vip));
+  ASSERT_TRUE(WriteAllFd(high, out));
+
+  std::vector<serve::InsightResponse> displaced;
+  ASSERT_TRUE(ReadResponses(low, 1, &displaced)) << "the displaced answer never arrived";
+  EXPECT_EQ(displaced[0].id, 2u);
+  EXPECT_EQ(displaced[0].error, serve::ErrorCode::kShedded) << displaced[0].error_message;
+  EXPECT_GT(displaced[0].retry_after_ms, 0u);
+
+  hold.Release();
+  std::vector<serve::InsightResponse> served;
+  ASSERT_TRUE(ReadResponses(high, 1, &served));
+  EXPECT_EQ(served[0].id, 3u);
+  EXPECT_EQ(served[0].error, serve::ErrorCode::kOk) << served[0].error_message;
+  ::close(low);
+  ::close(high);
+}
+
+// Hits pipelined behind a miss are answered at admission, but their bytes
+// wait in the connection's FIFO until the miss is written. They count
+// against max_outbound_bytes there too: a client that sends one slow miss
+// and then many hits is disconnected, not buffered without bound.
+TEST(Loop, AnswersWaitingBehindAMissCountAgainstTheCap) {
+  serve::EventLoopOptions lopts;
+  lopts.max_outbound_bytes = 2048;  // a handful of responses
+  LoopHarness h(lopts);
+  ASSERT_TRUE(h.StartLoop());
+  ASSERT_EQ(h.engine().Handle(ElementRequest(1, "aggcounter")).error,
+            serve::ErrorCode::kOk);
+  DispatcherHold hold(h.engine());  // the miss below stays queued
+
+  int fd = h.Connect();
+  ASSERT_GE(fd, 0);
+  SetRecvTimeout(fd, 5);
+  std::string out;
+  serve::AppendFrame(&out, serve::EncodeRequest(ElementRequest(2, "heavyhitter")));
+  for (uint64_t id = 3; id < 3 + 32; ++id) {
+    serve::AppendFrame(&out, serve::EncodeRequest(ElementRequest(id, "aggcounter")));
+  }
+  ASSERT_TRUE(WriteAllFd(fd, out));
+  // Nothing can be written before the miss's answer, so the loop's hang-up
+  // is the first thing the client sees.
+  char buf[256];
+  ssize_t n = ::read(fd, buf, sizeof(buf));
+  int read_errno = errno;
+  EXPECT_TRUE(n == 0 || (n < 0 && read_errno == ECONNRESET))
+      << "read returned " << n << " (" << std::strerror(read_errno) << ")";
+  // The loop counts the disconnect just after it closes the fd.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (h.loop().slow_disconnects() == 0 && std::chrono::steady_clock::now() < deadline) {
+    ::usleep(1000);
+  }
+  EXPECT_EQ(h.loop().slow_disconnects(), 1u);
   ::close(fd);
 }
 
