@@ -244,6 +244,9 @@ class DispatcherHold {
   }
   ~DispatcherHold() { Release(); }
 
+  DispatcherHold(const DispatcherHold&) = delete;
+  DispatcherHold& operator=(const DispatcherHold&) = delete;
+
   void Release() {
     if (!released_flag_) {
       released_flag_ = true;
