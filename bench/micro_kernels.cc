@@ -274,16 +274,6 @@ void BM_KernelAxpyDual(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelAxpyDual);
 
-void BM_CompileToNicCachedMazuNat(benchmark::State& state) {
-  Program p = MakeMazuNat();
-  LowerResult lr = LowerProgram(p);
-  for (auto _ : state) {
-    NicProgram nic = CompileToNicCached(lr.module);
-    benchmark::DoNotOptimize(nic.Totals().compute);
-  }
-}
-BENCHMARK(BM_CompileToNicCachedMazuNat);
-
 void BM_VocabularyEncode(benchmark::State& state) {
   Program p = MakeMazuNat();
   LowerResult lr = LowerProgram(p);
@@ -352,7 +342,6 @@ void EmitParallelComparison() {
       lstm.Fit(seq);
     });
     double automl_ms = time_ms([&] { AutoMlRegression(tab); });
-    ClearNicCompileCache();  // both passes pay the same compile cost
     double predictor_ms = time_ms([&] {
       InstructionPredictor pred(popts);
       pred.Train();

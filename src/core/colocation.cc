@@ -123,7 +123,7 @@ void ColocationRanker::Train(const PerfModel& model, const WorkloadSpec& workloa
         if (!nf.ok()) {
           return out;
         }
-        NicProgram nic = CompileToNicCached(nf.module());
+        NicProgram nic = CompileToNic(nf.module());
         Trace trace = GenerateTrace(workload, 600);
         for (auto& pkt : trace.packets) {
           nf.Process(pkt);

@@ -61,11 +61,10 @@ void InstructionPredictor::Train() {
   dataset_ = SeqDataset{};
   {
     // Lower + compile the synthetic corpus to get ground-truth labels. The
-    // lower/compile pass is data-parallel across programs (with the backend
-    // memo absorbing repeat corpora); the vocabulary encode stays serial and
-    // in corpus order because token interning is order-sensitive — this keeps
-    // the dataset, and therefore the trained model, bit-identical to a fully
-    // serial run at any thread count.
+    // lower/compile pass is data-parallel across programs; the vocabulary
+    // encode stays serial and in corpus order because token interning is
+    // order-sensitive — this keeps the dataset, and therefore the trained
+    // model, bit-identical to a fully serial run at any thread count.
     obs::StageTimer t("core.predictor.label", "core.predictor.stage_ms.label");
     struct Labeled {
       bool ok = false;
@@ -78,7 +77,7 @@ void InstructionPredictor::Train() {
       if (!out.lr.ok) {
         return out;  // synthesized programs always lower; defensive
       }
-      out.nic = CompileToNicCached(out.lr.module, opts_.backend);
+      out.nic = CompileToNic(out.lr.module, opts_.backend);
       out.ok = true;
       return out;
     });

@@ -85,7 +85,7 @@ void ScaleOutAdvisor::Train(const PerfModel& model, const std::vector<WorkloadSp
     if (!nf.ok()) {
       return out;
     }
-    NicProgram nic = CompileToNicCached(nf.module());
+    NicProgram nic = CompileToNic(nf.module());
     for (const auto& w : workloads) {
       nf.ResetState();
       nf.ResetProfile();

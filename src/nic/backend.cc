@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/nic/api_profile.h"
@@ -836,135 +834,6 @@ NicProgram CompileToNic(const Module& m, const Function& f, const NicBackendOpti
 
 NicProgram CompileToNic(const Module& m, const NicBackendOptions& opts) {
   return CompileToNic(m, m.functions.at(0), opts);
-}
-
-namespace {
-
-// FNV-1a 64-bit over the raw fields the backend consumes.
-struct Fnv {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  void Bytes(const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h = (h ^ b[i]) * 0x100000001b3ULL;
-    }
-  }
-  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
-  void I64(int64_t v) { Bytes(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    U64(s.size());
-    Bytes(s.data(), s.size());
-  }
-};
-
-struct CompileCache {
-  std::mutex mu;
-  std::unordered_map<uint64_t, NicProgram> entries;
-  // Bounds memory on open-ended sweeps; the corpus workloads fit comfortably.
-  static constexpr size_t kMaxEntries = 8192;
-};
-
-CompileCache& Cache() {
-  static CompileCache* cache = new CompileCache();
-  return *cache;
-}
-
-}  // namespace
-
-uint64_t NicCompileKey(const Module& m, const Function& f, const NicBackendOptions& opts) {
-  Fnv fnv;
-  fnv.Str(m.name);
-  fnv.I64(opts.gpr_budget);
-  fnv.U64(static_cast<uint64_t>(opts.coalesce_packet) << 1 |
-          static_cast<uint64_t>(opts.coalesce_state));
-  fnv.U64(m.state.size());
-  for (const auto& sv : m.state) {
-    fnv.U64(static_cast<uint64_t>(sv.kind));
-    fnv.U64(static_cast<uint64_t>(sv.elem_type));
-    fnv.U64(sv.length);
-    fnv.U64(sv.key_bytes);
-    fnv.U64(sv.value_bytes);
-    fnv.U64(sv.capacity);
-  }
-  fnv.U64(m.packet_fields.size());
-  for (const auto& pf : m.packet_fields) {
-    fnv.U64(static_cast<uint64_t>(pf.type));
-    fnv.U64(pf.byte_offset);
-  }
-  fnv.U64(m.apis.size());
-  for (const auto& api : m.apis) {
-    fnv.Str(api.name);  // profiles are looked up by name
-  }
-  fnv.U64(f.slots.size());
-  for (const auto& s : f.slots) {
-    fnv.U64(static_cast<uint64_t>(s.type));
-  }
-  fnv.U64(f.blocks.size());
-  for (const auto& b : f.blocks) {
-    fnv.U64(b.instrs.size());
-    for (const auto& i : b.instrs) {
-      fnv.U64(static_cast<uint64_t>(i.op));
-      fnv.U64(static_cast<uint64_t>(i.type));
-      fnv.U64(i.result);
-      fnv.U64(i.operands.size());
-      for (const auto& v : i.operands) {
-        fnv.U64(static_cast<uint64_t>(v.kind));
-        fnv.I64(v.imm);
-        fnv.U64(v.reg);
-      }
-      fnv.U64(static_cast<uint64_t>(i.space));
-      fnv.U64(i.sym);
-      fnv.I64(i.offset);
-      fnv.U64(i.has_dyn_index ? 1 : 0);
-      fnv.U64(i.callee);
-      fnv.U64(i.target0);
-      fnv.U64(i.target1);
-    }
-  }
-  return fnv.h;
-}
-
-NicProgram CompileToNicCached(const Module& m, const Function& f,
-                              const NicBackendOptions& opts) {
-  uint64_t key = NicCompileKey(m, f, opts);
-  CompileCache& cache = Cache();
-  {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    auto it = cache.entries.find(key);
-    if (it != cache.entries.end()) {
-      if (obs::Enabled()) {
-        obs::MetricsRegistry::Global().GetCounter("nic.backend.cache.hit").Add(1);
-      }
-      return it->second;
-    }
-  }
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Global().GetCounter("nic.backend.cache.miss").Add(1);
-  }
-  NicProgram prog = CompileToNic(m, f, opts);  // compile outside the lock
-  {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    if (cache.entries.size() < CompileCache::kMaxEntries) {
-      cache.entries.emplace(key, prog);
-    }
-  }
-  return prog;
-}
-
-NicProgram CompileToNicCached(const Module& m, const NicBackendOptions& opts) {
-  return CompileToNicCached(m, m.functions.at(0), opts);
-}
-
-size_t NicCompileCacheSize() {
-  CompileCache& cache = Cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  return cache.entries.size();
-}
-
-void ClearNicCompileCache() {
-  CompileCache& cache = Cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.entries.clear();
 }
 
 }  // namespace clara

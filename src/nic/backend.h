@@ -41,26 +41,6 @@ NicProgram CompileToNic(const Module& m, const Function& f,
 // Convenience: compiles module's first function.
 NicProgram CompileToNic(const Module& m, const NicBackendOptions& opts = NicBackendOptions{});
 
-// Content hash (FNV-1a) of everything the backend reads: the function's
-// instructions, the module tables they dereference (packet-field layout,
-// state geometry, API names) and the backend options. Two modules with the
-// same key compile to the same NicProgram.
-uint64_t NicCompileKey(const Module& m, const Function& f,
-                       const NicBackendOptions& opts = NicBackendOptions{});
-
-// Memoized CompileToNic keyed on NicCompileKey. Thread-safe (training
-// pipelines compile corpus programs from pool workers); repeated benches and
-// re-trainings over the same corpus skip recompilation entirely. Hits and
-// misses are counted in nic.backend.cache.{hit,miss}.
-NicProgram CompileToNicCached(const Module& m, const Function& f,
-                              const NicBackendOptions& opts = NicBackendOptions{});
-NicProgram CompileToNicCached(const Module& m,
-                              const NicBackendOptions& opts = NicBackendOptions{});
-
-// Cache introspection (tests) and reset.
-size_t NicCompileCacheSize();
-void ClearNicCompileCache();
-
 }  // namespace clara
 
 #endif  // SRC_NIC_BACKEND_H_

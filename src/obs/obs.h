@@ -1,13 +1,9 @@
 // Master switch for Clara's cross-layer telemetry.
 //
-// Every instrumentation hook in the codebase is double-gated:
-//
-//   * compile time — defining CLARA_OBS_DISABLE turns Enabled() into a
-//     constexpr `false`, so the hooks (all written as `if (obs::Enabled())`)
-//     are dead-code-eliminated and the telemetry has literally zero cost;
-//   * run time — with telemetry compiled in, Enabled() is a single relaxed
-//     atomic load, false by default. Nothing allocates, locks, or reads a
-//     clock until a front end (clara_cli --trace / report) opts in.
+// Every instrumentation hook in the codebase is written as
+// `if (obs::Enabled())`, and Enabled() is a single relaxed atomic load, false
+// by default. Nothing allocates, locks, or reads a clock until a front end
+// (clara_cli --trace / report, clara_serve) opts in.
 //
 // The convention for metric names is `layer.component.name`, e.g.
 // `nic.backend.rule.mul_expansion` or `ml.lstm.epoch_loss`.
@@ -19,16 +15,6 @@
 namespace clara {
 namespace obs {
 
-#ifdef CLARA_OBS_DISABLE
-
-inline constexpr bool kCompiledIn = false;
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-
-#else
-
-inline constexpr bool kCompiledIn = true;
-
 inline std::atomic<bool>& EnabledFlag() {
   static std::atomic<bool> flag{false};
   return flag;
@@ -36,8 +22,6 @@ inline std::atomic<bool>& EnabledFlag() {
 
 inline bool Enabled() { return EnabledFlag().load(std::memory_order_relaxed); }
 inline void SetEnabled(bool on) { EnabledFlag().store(on, std::memory_order_relaxed); }
-
-#endif  // CLARA_OBS_DISABLE
 
 // RAII scoped enable, for front ends and tests.
 class EnabledScope {

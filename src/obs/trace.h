@@ -142,17 +142,10 @@ class StageTimer {
 }  // namespace obs
 }  // namespace clara
 
-// Span macro: compiles away entirely under CLARA_OBS_DISABLE; otherwise a
-// no-op pointer check when no sink is registered.
+// Span macro: a no-op pointer check when no sink is registered.
 #define CLARA_OBS_CONCAT_INNER_(a, b) a##b
 #define CLARA_OBS_CONCAT_(a, b) CLARA_OBS_CONCAT_INNER_(a, b)
-#ifdef CLARA_OBS_DISABLE
-#define CLARA_TRACE_SPAN(name, cat) \
-  do {                              \
-  } while (0)
-#else
 #define CLARA_TRACE_SPAN(name, cat) \
   ::clara::obs::ScopedSpan CLARA_OBS_CONCAT_(clara_obs_span_, __LINE__)(name, cat)
-#endif
 
 #endif  // SRC_OBS_TRACE_H_

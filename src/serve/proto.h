@@ -101,7 +101,7 @@ struct LatencyBreakdown {
   bool valid = false;  // present on the wire only when true
   uint64_t trace_id = 0;
   bool cache_hit = false;
-  uint32_t queue_us = 0;    // submit -> batch drain
+  uint32_t queue_us = 0;    // submit -> dispatch
   uint32_t parse_us = 0;    // program resolution (parse/check or registry;
                             // on a miss, also lowering into an NfInstance)
   uint32_t infer_us = 0;    // LSTM inference over this request's blocks

@@ -55,12 +55,6 @@ obs::Histogram& LatencyHist() {
   return h;
 }
 
-obs::Histogram& BatchHist() {
-  static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
-      "serve.batch.size", obs::Histogram::LinearBuckets(1, 1, 16));
-  return h;
-}
-
 obs::Counter& RequestsCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter("serve.requests");
   return c;
@@ -177,7 +171,8 @@ ServeEngine::Pending ServeEngine::NewPending(InsightRequest req, uint32_t reques
   p.enqueued = Clock::now();
   if (p.req.deadline_ms > 0) {
     // Brownout shrinks the admitted deadline budget: work we cannot finish
-    // in time should fail fast at dispatch instead of occupying a batch slot.
+    // in time should fail fast at dispatch instead of occupying the
+    // dispatcher.
     uint32_t budget = p.req.deadline_ms;
     if (brownout_active_.load(std::memory_order_relaxed)) {
       budget = std::max<uint32_t>(1, budget / 2);
@@ -285,14 +280,12 @@ InsightResponse ServeEngine::Handle(InsightRequest req, uint32_t request_bytes) 
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_) {
       // Inline single-request path (no dispatcher): the admission step, then
-      // the full batch pipeline.
+      // what the dispatcher would do.
       InsightResponse out;
       Pending p = NewPending(std::move(req), request_bytes,
                              [&out](InsightResponse resp) { out = std::move(resp); });
       if (!AnswerAtAdmission(p)) {
-        std::vector<Pending> batch;
-        batch.push_back(std::move(p));
-        ProcessBatch(std::move(batch));
+        Process(p);
       }
       return out;
     }
@@ -319,7 +312,7 @@ std::string ServeEngine::EncodeTransportError(ErrorCode code, const std::string&
 void ServeEngine::Loop() {
   for (;;) {
     UpdateBrownout();
-    std::vector<Pending> batch;
+    Pending p;
     {
       std::unique_lock<std::mutex> lock(mu_);
       // Bounded wait instead of an open-ended one so brownout exit can make
@@ -332,17 +325,13 @@ void ServeEngine::Loop() {
       if (queue_.empty()) {
         continue;  // timed out: refresh brownout state and wait again
       }
-      size_t take = std::min(opts_.max_batch, queue_.size());
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      if (obs::Enabled() && take > 0) {
-        QueueDepthGauge().Sub(static_cast<double>(take));
+      p = std::move(queue_.front());
+      queue_.pop_front();
+      if (obs::Enabled()) {
+        QueueDepthGauge().Sub(1);
       }
     }
-    ProcessBatch(std::move(batch));
+    Process(p);
   }
 }
 
@@ -414,7 +403,6 @@ void ServeEngine::Fulfill(Pending& p, InsightResponse resp) {
   if (error) {
     errors_.fetch_add(1, std::memory_order_relaxed);
   }
-  (p.cache_hit ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
 
   obs::FlightRecord rec;
   rec.id = p.req.id;
@@ -461,155 +449,126 @@ void ServeEngine::Fulfill(Pending& p, InsightResponse resp) {
   p.done(std::move(resp));
 }
 
-void ServeEngine::ProcessBatch(std::vector<Pending> batch) {
-  bool brownout = brownout_active_.load(std::memory_order_relaxed);
-  Clock::time_point drained = Clock::now();
-  for (auto& p : batch) {
-    p.drained = drained;  // end of queue wait for every member of this batch
+void ServeEngine::Process(Pending& p) {
+  p.drained = Clock::now();
+  if (p.has_deadline && p.drained > p.deadline) {
+    Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kDeadlineExceeded,
+                             "deadline expired before dispatch"));
+    return;
   }
+  // Fault site dispatch: the worker path fails one request with a transient
+  // internal error (retry hint attached) — the requests behind it must be
+  // unaffected.
+  if (fault::Armed() && fault::ShouldFail(fault::Site::kDispatch)) {
+    InsightResponse resp =
+        ErrorResponse(p.req.id, ErrorCode::kInternal, "injected fault (dispatch)");
+    resp.retry_after_ms = 10;
+    Fulfill(p, std::move(resp));
+    return;
+  }
+  uint64_t workload_hash = HashWorkload(p.req.workload);
+  uint64_t program_hash = 0;
+  Program program;
+  if (!p.req.source.empty()) {
+    StageSpan parse_span{"serve.parse", Clock::now(), {}};
+    ParseResult parsed = ParseProgram(p.req.source);
+    if (!parsed.ok) {
+      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kParseError, parsed.error));
+      return;
+    }
+    CheckResult check = CheckProgram(parsed.program);
+    if (!check.ok) {
+      std::string msg = "program failed type check:";
+      for (const auto& e : check.errors) {
+        msg += " " + e + ";";
+      }
+      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed, msg));
+      return;
+    }
+    parse_span.end = Clock::now();
+    p.spans.push_back(parse_span);
+    program = std::move(parsed.program);
+    program_hash = ProgramKey(program);
+    if (ReplayCached(p, program_hash, workload_hash)) {
+      return;
+    }
+  } else {
+    // A by-name request is keyed before its program is built, so a hit
+    // (its key filled while the request waited) builds nothing.
+    auto key = element_keys_.find(p.req.element);
+    if (key == element_keys_.end()) {
+      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kUnknownElement,
+                               "element '" + p.req.element + "' not in registry"));
+      return;
+    }
+    program_hash = key->second;
+    if (ReplayCached(p, program_hash, workload_hash)) {
+      return;
+    }
+    StageSpan make_span{"serve.parse", Clock::now(), {}};
+    program = *FindElementByName(p.req.element);
+    make_span.end = Clock::now();
+    p.spans.push_back(make_span);
+  }
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   if (obs::Enabled()) {
-    BatchHist().Observe(static_cast<double>(batch.size()));
+    CacheMissesCounter().Add(1);
   }
-
-  // Per-slot resolution: program + cache lookup. Slots that error out or hit
-  // the cache are fulfilled immediately; the misses are analyzed below.
-  struct Slot {
-    Pending* pending = nullptr;
-    Program program;
-    uint64_t program_hash = 0;
-    uint64_t workload_hash = 0;
-  };
-  std::vector<Slot> live;
-  live.reserve(batch.size());
-
-  for (auto& p : batch) {
-    if (p.has_deadline && Clock::now() > p.deadline) {
-      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kDeadlineExceeded,
-                               "deadline expired before dispatch"));
-      continue;
-    }
-    // Fault site dispatch: the worker path fails one request with a
-    // transient internal error (retry hint attached) — the rest of the
-    // batch must be unaffected.
-    if (fault::Armed() && fault::ShouldFail(fault::Site::kDispatch)) {
-      InsightResponse resp =
-          ErrorResponse(p.req.id, ErrorCode::kInternal, "injected fault (dispatch)");
-      resp.retry_after_ms = 10;
-      Fulfill(p, std::move(resp));
-      continue;
-    }
-    Slot slot;
-    slot.pending = &p;
-    slot.workload_hash = HashWorkload(p.req.workload);
-    if (!p.req.source.empty()) {
-      StageSpan parse_span{"serve.parse", Clock::now(), {}};
-      ParseResult parsed = ParseProgram(p.req.source);
-      if (!parsed.ok) {
-        Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kParseError, parsed.error));
-        continue;
-      }
-      CheckResult check = CheckProgram(parsed.program);
-      if (!check.ok) {
-        std::string msg = "program failed type check:";
-        for (const auto& e : check.errors) {
-          msg += " " + e + ";";
-        }
-        Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed, msg));
-        continue;
-      }
-      parse_span.end = Clock::now();
-      p.spans.push_back(parse_span);
-      slot.program = std::move(parsed.program);
-      slot.program_hash = ProgramKey(slot.program);
-      if (ReplayCached(p, slot.program_hash, slot.workload_hash)) {
-        continue;
-      }
-    } else {
-      // A by-name request is keyed before its program is built, so a hit
-      // (its key filled while the request waited) builds nothing.
-      auto key = element_keys_.find(p.req.element);
-      if (key == element_keys_.end()) {
-        Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kUnknownElement,
-                                 "element '" + p.req.element + "' not in registry"));
-        continue;
-      }
-      slot.program_hash = key->second;
-      if (ReplayCached(p, slot.program_hash, slot.workload_hash)) {
-        continue;
-      }
-      StageSpan make_span{"serve.parse", Clock::now(), {}};
-      slot.program = *FindElementByName(p.req.element);
-      make_span.end = Clock::now();
-      p.spans.push_back(make_span);
-    }
-    if (obs::Enabled()) {
-      CacheMissesCounter().Add(1);
-    }
-    // Brownout prefers cache hits: a miss from the lowest priority class is
-    // shed instead of spending inference on it, keeping batch slots for
-    // cached replays and prioritized traffic.
-    if (brownout && p.req.priority == 0) {
-      Fulfill(p, SheddedResponse(p.req.id, "brownout: cache miss shed (priority 0)"));
-      continue;
-    }
-    live.push_back(std::move(slot));
-  }
-  if (live.empty()) {
+  // Brownout prefers cache hits: a miss from the lowest priority class is
+  // shed instead of spending inference on it, keeping the dispatcher for
+  // cached replays and prioritized traffic.
+  if (brownout_active_.load(std::memory_order_relaxed) && p.req.priority == 0) {
+    Fulfill(p, SheddedResponse(p.req.id, "brownout: cache miss shed (priority 0)"));
     return;
   }
 
-  // Pin the model only now, after the cache probes. Hits never read it, and
-  // a probe that found the cache cleared by a Reload() then pins the model
-  // that Reload() published, so CachePut keeps the answer. A concurrent
-  // Reload() cannot reclaim the snapshot while we hold it, so every miss in
-  // the batch is answered by one consistent model.
+  // Pin the model only now, after the cache probe. Hits never read it, and a
+  // probe that found the cache cleared by a Reload() then pins the model that
+  // Reload() published, so CachePut keeps the answer. A concurrent Reload()
+  // cannot reclaim the snapshot while we hold it.
   std::shared_ptr<ModelSnapshot> model;
-  std::shared_ptr<ModelSnapshot> retired;  // released when the batch is done
+  std::shared_ptr<ModelSnapshot> retired;  // released when this miss is answered
   {
     std::lock_guard<std::mutex> lock(model_mu_);
     model = model_;
     retired = std::move(retired_);
   }
   const ClaraAnalyzer& analyzer = model->analyzer;
-  for (Slot& slot : live) {
-    Pending& p = *slot.pending;
-    // Lowering finishes program resolution, so serve.parse times it too.
-    StageSpan lower_span{"serve.parse", Clock::now(), {}};
-    NfInstance nf(std::move(slot.program));
-    lower_span.end = Clock::now();
-    p.spans.push_back(lower_span);
-    if (!nf.ok()) {
-      Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
-                               "lowering failed: " + nf.error()));
-      continue;
-    }
-    StageSpan infer_span{"serve.infer", lower_span.end, {}};
-    NfPrediction prediction = analyzer.predictor().PredictNf(nf.module());
-    infer_span.end = Clock::now();
-    p.spans.push_back(infer_span);
-    StageSpan analyze_span{"serve.analyze", infer_span.end, {}};
-    OffloadingInsights insights = analyzer.Analyze(nf, p.req.workload, std::move(prediction));
-    InsightResponse resp;
-    resp.id = p.req.id;
-    resp.nf_name = insights.nf_name;
-    resp.accelerator = AccelClassName(insights.accelerator);
-    resp.suggested_cores = insights.suggested_cores;
-    resp.total_compute = insights.prediction.total_compute;
-    resp.total_mem_state = insights.prediction.total_mem_state;
-    resp.naive_mpps = insights.naive_perf.throughput_mpps;
-    resp.naive_us = insights.naive_perf.latency_us;
-    resp.tuned_mpps = insights.tuned_perf.throughput_mpps;
-    resp.tuned_us = insights.tuned_perf.latency_us;
-    resp.rendered = insights.ToString(opts_.nic);
-    analyze_span.end = Clock::now();
-    p.spans.push_back(analyze_span);
-    StageSpan encode_span{"serve.encode", analyze_span.end, {}};
-    CachePut(slot.program_hash, slot.workload_hash, EncodeResponseBody(resp),
-             model->version);
-    encode_span.end = Clock::now();
-    p.spans.push_back(encode_span);
-    Fulfill(p, std::move(resp));
+  // Lowering finishes program resolution, so serve.parse times it too.
+  StageSpan lower_span{"serve.parse", Clock::now(), {}};
+  NfInstance nf(std::move(program));
+  lower_span.end = Clock::now();
+  p.spans.push_back(lower_span);
+  if (!nf.ok()) {
+    Fulfill(p, ErrorResponse(p.req.id, ErrorCode::kCheckFailed,
+                             "lowering failed: " + nf.error()));
+    return;
   }
+  StageSpan infer_span{"serve.infer", lower_span.end, {}};
+  NfPrediction prediction = analyzer.predictor().PredictNf(nf.module());
+  infer_span.end = Clock::now();
+  p.spans.push_back(infer_span);
+  StageSpan analyze_span{"serve.analyze", infer_span.end, {}};
+  OffloadingInsights insights = analyzer.Analyze(nf, p.req.workload, std::move(prediction));
+  InsightResponse resp;
+  resp.id = p.req.id;
+  resp.nf_name = insights.nf_name;
+  resp.accelerator = AccelClassName(insights.accelerator);
+  resp.suggested_cores = insights.suggested_cores;
+  resp.total_compute = insights.prediction.total_compute;
+  resp.total_mem_state = insights.prediction.total_mem_state;
+  resp.naive_mpps = insights.naive_perf.throughput_mpps;
+  resp.naive_us = insights.naive_perf.latency_us;
+  resp.tuned_mpps = insights.tuned_perf.throughput_mpps;
+  resp.tuned_us = insights.tuned_perf.latency_us;
+  resp.rendered = insights.ToString(opts_.nic);
+  analyze_span.end = Clock::now();
+  p.spans.push_back(analyze_span);
+  StageSpan encode_span{"serve.encode", analyze_span.end, {}};
+  CachePut(program_hash, workload_hash, EncodeResponseBody(resp), model->version);
+  encode_span.end = Clock::now();
+  p.spans.push_back(encode_span);
+  Fulfill(p, std::move(resp));
 }
 
 bool ServeEngine::ReplayCached(Pending& p, uint64_t program_hash, uint64_t workload_hash) {
@@ -617,6 +576,7 @@ bool ServeEngine::ReplayCached(Pending& p, uint64_t program_hash, uint64_t workl
   if (cached.empty()) {
     return false;
   }
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
   if (obs::Enabled()) {
     CacheHitsCounter().Add(1);
   }
@@ -640,8 +600,8 @@ bool ServeEngine::ReplayCached(Pending& p, uint64_t program_hash, uint64_t workl
 
 void ServeEngine::CachePut(uint64_t program_hash, uint64_t workload_hash, std::string body,
                            uint64_t version) {
-  // A batch that started before a reload finishes on the old model; its
-  // answers must not repopulate the freshly cleared cache.
+  // A miss that pinned the model before a reload finishes on the old model;
+  // its answer must not repopulate the freshly cleared cache.
   if (version != artifact_version_.load(std::memory_order_acquire)) {
     return;
   }
@@ -808,7 +768,7 @@ void ServeEngine::UpdateBrownout() {
   }
   int64_t now_us = NowUs();
   if (now_us - last_brownout_us_ < 100000) {
-    return;  // snapshotting the SLO window is too heavy to do per batch
+    return;  // snapshotting the SLO window is too heavy to do per request
   }
   last_brownout_us_ = now_us;
   obs::SloTracker::Window w = slo_.Snapshot(now_us);

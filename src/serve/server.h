@@ -16,15 +16,21 @@
 //     fault site and brownout's shedding, applies only to queued work: a
 //     by-name hit is answered even when the queue is full or the engine is
 //     stopped.
-//   * Per-request deadlines: a request that expires while queued is answered
-//     with kDeadlineExceeded without being dispatched; one that finishes late
-//     still succeeds but bumps the serve.deadline.overruns counter.
-//   * Batched dispatch: the dispatcher drains up to max_batch requests,
-//     resolves each program and probes the cache again (a key can be filled
-//     while its request waits), answering hits and errors first. Each miss
-//     then goes through ClaraAnalyzer's pipeline: one lowering into an
-//     NfInstance, PredictNf (its blocks in parallel on the shared thread
-//     pool), and the analysis proper.
+//   * Per-request deadlines, checked when the dispatcher reaches the request:
+//     one that expired while queued, the miss ahead of it included, is
+//     answered with kDeadlineExceeded without being processed; one that
+//     finishes late still succeeds but bumps the serve.deadline.overruns
+//     counter.
+//   * One request at a time: the dispatcher pops one queued request and
+//     takes it from its deadline check to its answer (Process) before it pops
+//     the next. It resolves the program and probes the cache again, so a
+//     request whose key an earlier queued request just filled is a hit, not
+//     a second analysis. A miss then goes through ClaraAnalyzer's pipeline:
+//     one lowering into an NfInstance, PredictNf (its blocks in parallel on
+//     the shared thread pool), and the analysis proper. Requests are answered
+//     in the order the dispatcher reaches them, errors and hits included;
+//     per-connection order is the transport's job (the event loop's response
+//     slots, the pipe loop's futures).
 //   * LRU result cache (AnswerCache) keyed by (program content hash,
 //     workload hash); a hit replays the cached encoded response body
 //     byte-for-byte (only the echoed request id differs), skipping analysis
@@ -32,13 +38,14 @@
 //   * Hot artifact reload: the trained model lives in an immutable
 //     ModelSnapshot behind a mutex-guarded shared_ptr. Reload() builds and
 //     canary-validates a candidate entirely off the serving path, then
-//     atomically swaps the pointer and clears the result cache. A batch pins
-//     the snapshot after its cache probes, so a miss that found the cache
-//     cleared is analyzed on the new model and its answer is cached; batches
+//     atomically swaps the pointer and clears the result cache. A miss pins
+//     the snapshot after its cache probe, so a miss that found the cache
+//     cleared is analyzed on the new model and its answer is cached; requests
 //     in flight finish on the snapshot they pinned (they hold their own
-//     shared_ptr), so no request ever sees a half-swapped model. Rejected
-//     candidates (untrained, CRC-damaged, canary failure) leave the old
-//     snapshot serving. Each successful swap bumps artifact_version().
+//     shared_ptr), so no request ever sees a half-swapped model. The snapshot
+//     a swap replaced is released on the dispatcher, by the next miss.
+//     Rejected candidates (untrained, CRC-damaged, canary failure) leave the
+//     old snapshot serving. Each successful swap bumps artifact_version().
 //   * Brownout degradation: when the rolling SLO window flips degraded, a
 //     hysteretic BrownoutPolicy puts the engine in brownout — admitted
 //     deadline budgets are halved, the lowest-priority queued requests are
@@ -47,11 +54,14 @@
 //     serve). Inference keeps the configured backend, so an answer computed
 //     under brownout is the answer computed without it. Exit requires the
 //     p99 to stay below the threshold for a hold period, preventing
-//     enter/exit oscillation.
-//   * Instrumented via src/obs: serve.queue.depth, serve.batch.size,
-//     serve.cache.{hits,misses}, serve.latency_us (p50/p99), error/overrun
-//     counters, serve.reload.{ok,rejected}, serve.brownout.{entered,exited},
-//     serve.shedded, plus the fault.* injection counters.
+//     enter/exit oscillation. The dispatcher feeds the policy before each
+//     request it pops, at most once per 100 ms.
+//   * Instrumented via src/obs: serve.queue.depth, serve.cache.{hits,misses}
+//     (a hit where the answer is replayed, a miss where the probe fails; an
+//     error before the probe is neither), serve.latency_us (p50/p99),
+//     error/overrun counters, serve.reload.{ok,rejected},
+//     serve.brownout.{entered,exited}, serve.shedded, plus the fault.*
+//     injection counters.
 //   * Telemetry plane: every request is traced end to end — per-stage spans
 //     (queue wait, program resolution, inference, analysis, encode)
 //     share the request's trace id in the global Chrome-trace sink, and the
@@ -92,7 +102,6 @@ namespace serve {
 struct ServeOptions {
   NicConfig nic;
   size_t queue_capacity = 64;
-  size_t max_batch = 8;
   size_t cache_capacity = 128;
   // Packets interpreted per request for workload-specific profiling (smaller
   // than the offline default: serving favors latency).
@@ -185,7 +194,8 @@ class ServeEngine {
   std::future<InsightResponse> Submit(InsightRequest req, uint32_t request_bytes = 0);
 
   // Synchronous convenience: Submit + wait. Works without Start(): runs the
-  // admission step, then processes the request inline as a batch of one.
+  // admission step, then processes the request inline, as the dispatcher
+  // would.
   InsightResponse Handle(InsightRequest req, uint32_t request_bytes = 0);
 
   // Decode a raw request payload, handle it, and encode the response —
@@ -201,7 +211,7 @@ class ServeEngine {
   // success, atomically swaps it in as the serving model: the result cache
   // is cleared and artifact_version() is bumped. On failure returns false
   // with *error set and the previous model keeps serving untouched.
-  // Thread-safe against concurrent request processing; batches in flight
+  // Thread-safe against concurrent request processing; misses in flight
   // finish on the snapshot they pinned after their cache probes.
   bool Reload(TrainedBundle bundle, std::string* error);
   // Reload from an artifact file (CRC-checked by the artifact store).
@@ -269,8 +279,8 @@ class ServeEngine {
     uint64_t version;  // Reload() stamps a candidate's before publishing it
   };
 
-  // One named sub-interval of a request's lifetime, recorded while the batch
-  // is processed and emitted as a child trace span at fulfillment.
+  // One named sub-interval of a request's lifetime, recorded while the
+  // request is processed and emitted as a child trace span at fulfillment.
   struct StageSpan {
     const char* name;
     Clock::time_point start;
@@ -296,11 +306,14 @@ class ServeEngine {
   // Returns false, touching nothing, when the request must be queued.
   bool AnswerAtAdmission(Pending& p);
   // Replays the cached answer for the key, if any, and fulfils p with it:
-  // the one replay path of admission and dispatch.
+  // the one replay path of admission and dispatch, and where hits are
+  // counted.
   bool ReplayCached(Pending& p, uint64_t program_hash, uint64_t workload_hash);
 
   void Loop();
-  void ProcessBatch(std::vector<Pending> batch);
+  // Takes one queued request from its deadline check to its answer; the one
+  // place a miss is counted.
+  void Process(Pending& p);
   // Fulfills one pending slot: records latency/error/overrun metrics, the
   // SLO window sample and the flight record, attaches the latency breakdown
   // to the response, and emits the request's trace spans.
@@ -328,7 +341,7 @@ class ServeEngine {
   int64_t NowUs() const;
 
   // `version` is the model generation the body was computed with; stale
-  // puts (an in-flight batch finishing after a reload) are dropped.
+  // puts (an in-flight miss finishing after a reload) are dropped.
   void CachePut(uint64_t program_hash, uint64_t workload_hash, std::string body,
                 uint64_t version);
   void CacheClear();
@@ -341,10 +354,10 @@ class ServeEngine {
   // itself never changes.
   mutable std::mutex model_mu_;
   std::shared_ptr<ModelSnapshot> model_;
-  // The snapshot the last Reload() replaced. The next batch with a miss
-  // releases it on the dispatcher: freed on the reloading thread, it ran
-  // concurrently with cache hits and slowed enough of them to fail
-  // bench/serve_latency's reload_during_load gate several times as often.
+  // The snapshot the last Reload() replaced. The next miss releases it on
+  // the dispatcher: freed on the reloading thread, it ran concurrently with
+  // cache hits and slowed enough of them to fail bench/serve_latency's
+  // reload_during_load gate several times as often.
   std::shared_ptr<ModelSnapshot> retired_;  // guarded by model_mu_
   std::string reload_path_;  // guarded by model_mu_
   std::atomic<uint64_t> artifact_version_{1};
@@ -358,8 +371,9 @@ class ServeEngine {
   std::atomic<uint64_t> shedded_{0};
   int64_t last_brownout_us_ = 0;  // dispatcher-only throttle
 
-  // Telemetry plane. Engine-local atomics shadow the obs counters so Health
-  // stays correct even when the global obs switch is off.
+  // Telemetry plane. Engine-local atomics shadow the obs counters, bumped at
+  // the same points, so Health stays correct even when the global obs switch
+  // is off and counts this engine alone (the registry is per process).
   Clock::time_point started_ = Clock::now();
   obs::SloTracker slo_;
   obs::FlightRecorder flight_;

@@ -2,16 +2,15 @@
 // (corpus synthesis/labelling, cross-validation grids, design-space sweeps).
 //
 // The substrate is deliberately small: a shared pool of workers, a chunked
-// ParallelFor where the calling thread participates, and a deterministic
-// ordered ParallelMapReduce. There is no work stealing — chunks are claimed
-// from a single atomic cursor, which is fair enough for the uniform loop
-// bodies Clara runs and keeps the implementation auditable.
+// ParallelFor where the calling thread participates, and an ordered
+// ParallelMap. There is no work stealing — chunks are claimed from a single
+// atomic cursor, which is fair enough for the uniform loop bodies Clara runs
+// and keeps the implementation auditable.
 //
-// Determinism contract: chunk boundaries depend only on (n, grain), never on
-// the thread count, and ParallelMapReduce combines chunk partials in chunk
-// index order. Running at 1, 2 or 64 threads therefore produces bit-identical
-// results, which the ML training paths rely on (see DESIGN.md "Threading
-// model & determinism").
+// Determinism contract: each index writes only its own output, and callers
+// fold parallel results serially in index order. Running at 1, 2 or 64
+// threads therefore produces bit-identical results, which the ML training
+// paths rely on (see DESIGN.md "Threading model & determinism").
 //
 // Sizing: the pool defaults to std::thread::hardware_concurrency, overridden
 // by the CLARA_THREADS environment variable at first use or SetNumThreads()
@@ -22,8 +21,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
-#include <utility>
 #include <vector>
 
 namespace clara {
@@ -56,40 +53,6 @@ template <typename T, typename Fn>
 std::vector<T> ParallelMap(size_t n, const Fn& fn) {
   std::vector<T> out(n);
   ParallelForGrain(n, 1, [&](size_t i) { out[i] = fn(i); });
-  return out;
-}
-
-// Deterministic ordered map-reduce. Each chunk of `grain` indices folds its
-// mapped values left-to-right; chunk partials are then folded into `init` in
-// chunk index order. Because the chunk shape depends only on (n, grain), the
-// reduction tree — and therefore every floating-point rounding — is
-// identical at any thread count. Note the tree differs from a plain serial
-// left fold; callers that need bit-equality with a legacy serial loop should
-// pass grain >= n.
-template <typename Acc, typename MapFn, typename ReduceFn>
-Acc ParallelMapReduce(size_t n, Acc init, const MapFn& map, const ReduceFn& reduce,
-                      size_t grain = 16) {
-  if (n == 0) {
-    return init;
-  }
-  if (grain == 0) {
-    grain = 1;
-  }
-  size_t chunks = (n + grain - 1) / grain;
-  std::vector<std::optional<Acc>> parts(chunks);
-  ParallelForGrain(chunks, 1, [&](size_t c) {
-    size_t lo = c * grain;
-    size_t hi = std::min(n, lo + grain);
-    Acc a = map(lo);
-    for (size_t i = lo + 1; i < hi; ++i) {
-      a = reduce(std::move(a), map(i));
-    }
-    parts[c] = std::move(a);
-  });
-  Acc out = std::move(init);
-  for (size_t c = 0; c < chunks; ++c) {
-    out = reduce(std::move(out), std::move(*parts[c]));
-  }
   return out;
 }
 

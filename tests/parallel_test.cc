@@ -16,7 +16,6 @@
 #include "src/lang/lower.h"
 #include "src/ml/automl.h"
 #include "src/ml/lstm.h"
-#include "src/nic/backend.h"
 #include "src/util/rng.h"
 #include "src/workload/workload.h"
 
@@ -122,30 +121,6 @@ TEST(ParallelMapTest, PreservesIndexOrder) {
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], static_cast<int>(i * i));
   }
-}
-
-TEST(ParallelMapReduceTest, BitIdenticalAcrossThreadCounts) {
-  ThreadGuard guard;
-  // Values chosen so the floating-point sum is sensitive to association.
-  Rng rng(99);
-  std::vector<double> vals(4097);
-  for (auto& v : vals) {
-    v = (rng.NextDouble() - 0.5) * 1e12 + rng.NextDouble();
-  }
-  auto run = [&] {
-    return ParallelMapReduce<double>(
-        vals.size(), 0.0, [&](size_t i) { return vals[i]; },
-        [](double a, double b) { return a + b; }, 16);
-  };
-  SetNumThreads(1);
-  double s1 = run();
-  SetNumThreads(2);
-  double s2 = run();
-  SetNumThreads(8);
-  double s8 = run();
-  // Exact bit equality, not approximate: the reduction tree is fixed.
-  EXPECT_EQ(std::memcmp(&s1, &s2, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&s1, &s8, sizeof(double)), 0);
 }
 
 TEST(ParallelConfigTest, SetNumThreadsRoundTrips) {
@@ -325,37 +300,6 @@ TEST(SharedZipfTableTest, ParallelTracesEqualSerialTraces) {
           << "threads " << threads << ", spec " << i % specs.size();
     }
   }
-}
-
-TEST(CompileCacheTest, SecondCompileHitsCache) {
-  Program p = MakeMazuNat();
-  LowerResult lr = LowerProgram(p);
-  ASSERT_TRUE(lr.ok);
-  ClearNicCompileCache();
-  EXPECT_EQ(NicCompileCacheSize(), 0u);
-  NicProgram first = CompileToNicCached(lr.module);
-  EXPECT_EQ(NicCompileCacheSize(), 1u);
-  NicProgram second = CompileToNicCached(lr.module);
-  EXPECT_EQ(NicCompileCacheSize(), 1u);  // hit, no new entry
-  NicProgram direct = CompileToNic(lr.module);
-  EXPECT_EQ(first.Totals().compute, direct.Totals().compute);
-  EXPECT_EQ(second.Totals().compute, direct.Totals().compute);
-  EXPECT_EQ(first.blocks.size(), direct.blocks.size());
-}
-
-TEST(CompileCacheTest, KeyDependsOnModuleAndOptions) {
-  Program a = MakeMazuNat();
-  LowerResult la = LowerProgram(a);
-  ASSERT_TRUE(la.ok);
-  uint64_t base = NicCompileKey(la.module, la.module.functions[0]);
-  EXPECT_EQ(base, NicCompileKey(la.module, la.module.functions[0]));  // stable
-  NicBackendOptions opts;
-  opts.gpr_budget += 1;
-  EXPECT_NE(base, NicCompileKey(la.module, la.module.functions[0], opts));
-  Program b = MakeAggCounter();
-  LowerResult lb = LowerProgram(b);
-  ASSERT_TRUE(lb.ok);
-  EXPECT_NE(base, NicCompileKey(lb.module, lb.module.functions[0]));
 }
 
 }  // namespace

@@ -78,7 +78,6 @@ TrainedBundle FreshBundle() {
 serve::ServeOptions FastServeOptions() {
   serve::ServeOptions opts;
   opts.queue_capacity = 512;
-  opts.max_batch = 8;
   opts.cache_capacity = 64;
   opts.profile_packets = 40;  // keep cache misses cheap in unit tests
   return opts;

@@ -1,6 +1,6 @@
 // The serving subsystem (src/serve/): artifact store round-trips, corrupted
 // artifact rejection, wire-protocol codecs, the mini-Click parser used for
-// inline-source requests, and the batched serving engine (cache byte
+// inline-source requests, and the serving engine (cache byte
 // equality, admission control, deadlines, concurrency).
 //
 // Runs as one ctest entry (clara_test_whole): the trained bundle fixture is
@@ -28,6 +28,8 @@
 #include "src/ml/knn.h"
 #include "src/ml/linear.h"
 #include "src/ml/tree.h"
+#include "src/obs/metrics.h"
+#include "src/obs/obs.h"
 #include "src/obs/trace.h"
 #include "src/serve/artifact.h"
 #include "src/serve/brownout.h"
@@ -628,6 +630,77 @@ TEST(Engine, ByNameHitIsAnsweredWhenTheQueueIsFull) {
   engine.Start();
   EXPECT_EQ(queued.get().error, serve::ErrorCode::kOk);
   engine.Stop();
+}
+
+// The dispatcher probes the cache for each request when it reaches it, so
+// requests queued for one key cost one analysis: the first fills the key and
+// the rest replay it.
+TEST(Engine, QueuedRequestsForOneKeyAreAnalyzedOnce) {
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  // Not started: the requests queue behind each other, none of them cached.
+  std::vector<std::future<serve::InsightResponse>> futures;
+  for (uint64_t id = 1; id <= 4; ++id) {
+    futures.push_back(engine.Submit(ElementRequest(id, "heavyhitter")));
+  }
+  engine.Start();
+  int hits = 0;
+  for (auto& fut : futures) {
+    serve::InsightResponse resp = fut.get();
+    ASSERT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+    hits += resp.breakdown.cache_hit ? 1 : 0;
+  }
+  engine.Stop();
+  EXPECT_EQ(hits, 3);
+  std::string health = engine.HealthJson();
+  EXPECT_NE(health.find("\"hits\":3,\"misses\":1,"), std::string::npos) << health;
+}
+
+// A queued request's deadline is checked when the dispatcher reaches it, not
+// when it left the queue: one that expires while the miss ahead of it is
+// being answered is rejected. The miss's callback holds the dispatcher.
+TEST(Engine, DeadlineIsCheckedWhenTheDispatcherReachesTheRequest) {
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  std::promise<void> in_miss;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  engine.Submit(ElementRequest(1, "heavyhitter"), 0, [&](serve::InsightResponse resp) {
+    EXPECT_EQ(resp.error, serve::ErrorCode::kOk) << resp.error_message;
+    in_miss.set_value();
+    released.wait();
+  });
+  serve::InsightRequest late = ElementRequest(2, "udpcount");
+  late.deadline_ms = 50;
+  std::future<serve::InsightResponse> fut = engine.Submit(std::move(late));
+  engine.Start();
+  in_miss.get_future().wait();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  release.set_value();
+  serve::InsightResponse resp = fut.get();
+  EXPECT_EQ(resp.error, serve::ErrorCode::kDeadlineExceeded) << resp.error_message;
+  engine.Stop();
+}
+
+// Health and the registry count a hit where an answer is replayed and a miss
+// where a probe fails; a request that errors before its probe is neither.
+TEST(Engine, HealthAndStatsCountErrorsAsNeitherHitNorMiss) {
+  obs::EnabledScope obs_on;
+  obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter("serve.cache.hits");
+  obs::Counter& misses = obs::MetricsRegistry::Global().GetCounter("serve.cache.misses");
+  uint64_t hits_before = hits.value();
+  uint64_t misses_before = misses.value();
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  EXPECT_EQ(engine.Handle(ElementRequest(1, "nosuchelement")).error,
+            serve::ErrorCode::kUnknownElement);
+  serve::InsightRequest bad_source;
+  bad_source.id = 2;
+  bad_source.source = "class Broken : public Element { int;";
+  EXPECT_EQ(engine.Handle(std::move(bad_source)).error, serve::ErrorCode::kParseError);
+  EXPECT_EQ(engine.Handle(ElementRequest(3, "aggcounter")).error, serve::ErrorCode::kOk);
+  EXPECT_EQ(engine.Handle(ElementRequest(4, "aggcounter")).error, serve::ErrorCode::kOk);
+  std::string health = engine.HealthJson();
+  EXPECT_NE(health.find("\"hits\":1,\"misses\":1,"), std::string::npos) << health;
+  EXPECT_EQ(hits.value() - hits_before, 1u);
+  EXPECT_EQ(misses.value() - misses_before, 1u);
 }
 
 // By-name requests are keyed from a table built at construction; it must

@@ -65,7 +65,7 @@ struct ChaosConfig {
 
 const char* kElements[] = {"aggcounter", "heavyhitter", "udpcount", "iplookup"};
 constexpr size_t kElementCount = sizeof(kElements) / sizeof(kElements[0]);
-constexpr size_t kBatch = 8;  // requests per exchange (exercises micro-batching)
+constexpr size_t kBatch = 8;  // requests per exchange, pipelined on one connection
 
 int g_failures = 0;
 

@@ -23,15 +23,16 @@
 // A by-name request whose answer is cached is answered on the thread that
 // read it (the loop thread, or the pipe reader), with no thread handoff.
 // Every other request goes to the engine's one queue, and its dispatcher
-// drains up to --batch of them at a time: cache hits and errors are answered
-// first, then each miss is analyzed, its blocks predicted in parallel.
+// takes them one at a time: it probes the cache again, so a key filled by
+// the request ahead is a hit, and analyzes each miss, its blocks predicted
+// in parallel.
 // Malformed payloads and oversized frames get structured error responses;
 // SIGINT/SIGTERM shut the daemon down cleanly.
 //
 // Self-healing plane:
 //   * SIGHUP (or a control Reload frame) hot-reloads the bundle from
 //     --model-dir: the candidate is CRC-checked and canary-validated off the
-//     serving path, then atomically swapped in; in-flight batches finish on
+//     serving path, then atomically swapped in; a miss in flight finishes on
 //     the old model and a rejected candidate leaves it serving. Health
 //     reports the bumped artifact_version.
 //   * --fault=SPEC (or CLARA_FAULT=SPEC) arms the deterministic fault
@@ -141,8 +142,9 @@ void MaybeReload(serve::ServeEngine& engine, const std::string& bundle_path) {
 }
 
 // Pipe transport: serves stdin until EOF or shutdown. Frames buffered
-// together are submitted together, so the engine can drain them as one
-// batch; responses are written back in request order.
+// together are all submitted before any answer is awaited, so the
+// dispatcher works through them back to back; responses are written back in
+// request order, one future per frame.
 int ServeStream(serve::ServeEngine& engine, const std::string& bundle_path, int in_fd,
                 int out_fd) {
   serve::FrameReader reader;
@@ -226,7 +228,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: clara_serve --model-dir=DIR [--pipe | --socket=PATH]\n"
                "                   [--max-outbound-bytes=N] [--max-conns=N]\n"
-               "                   [--queue=N] [--batch=N] [--cache=N]\n"
+               "                   [--queue=N] [--cache=N]\n"
                "                   [--profile-packets=N]\n"
                "                   [--infer=f64|f32]\n"
                "                   [--metrics-json=FILE] [--trace=FILE]\n"
@@ -276,8 +278,6 @@ int main(int argc, char** argv) {
           std::strtoul(a.c_str() + std::strlen("--profile-packets="), nullptr, 10);
     } else if (a.rfind("--queue=", 0) == 0) {
       opts.queue_capacity = std::strtoul(a.c_str() + std::strlen("--queue="), nullptr, 10);
-    } else if (a.rfind("--batch=", 0) == 0) {
-      opts.max_batch = std::strtoul(a.c_str() + std::strlen("--batch="), nullptr, 10);
     } else if (a.rfind("--cache=", 0) == 0) {
       opts.cache_capacity = std::strtoul(a.c_str() + std::strlen("--cache="), nullptr, 10);
     } else if (a.rfind("--infer=", 0) == 0) {
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (model_dir.empty() || opts.queue_capacity == 0 || opts.max_batch == 0 ||
+  if (model_dir.empty() || opts.queue_capacity == 0 ||
       opts.profile_packets == 0 || loop_opts.max_outbound_bytes == 0 ||
       loop_opts.max_connections == 0 ||
       opts.slo_window_ms <= 0 || metrics_interval_ms <= 0 ||
