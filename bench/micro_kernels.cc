@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 
 #include "bench/bench_util.h"
 #include "src/core/predictor.h"
@@ -104,9 +105,9 @@ void BM_LstmInference(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmInference);
 
-// The LSTM-recurrence GEMV shape (4H x H rows at H=32), timed per backend:
-// the serve hot path's dominant kernel. The f32 rows use the dispatched
-// kernel table (AVX2 when available).
+// The LSTM-recurrence GEMV shape (4H x H rows at H=32), timed per backend
+// and kernel table: the dominant kernel of the LSTM forward pass in training
+// and in f64 serving.
 constexpr int kGemvRows = 128, kGemvCols = 32;
 
 struct GemvFixture {
@@ -128,8 +129,8 @@ struct GemvFixture {
     y32.resize(kGemvRows);
   }
 
-  void RunF64() {
-    kernels::GemvBias(y64.data(), m64.data(), x64.data(), bias64.data(), kGemvRows, kGemvCols);
+  void RunF64(const kernels::F64Kernels& k) {
+    k.gemv_bias(y64.data(), m64.data(), x64.data(), bias64.data(), kGemvRows, kGemvCols);
     benchmark::DoNotOptimize(y64[0]);
   }
   void RunF32(const kernels::F32Kernels& k) {
@@ -139,13 +140,28 @@ struct GemvFixture {
   }
 };
 
-void BM_GemvF64Scalar(benchmark::State& state) {
+// Scalar-vs-AVX2 pairs for the f64 training kernels: argument simd:0 times
+// the scalar table, simd:1 the AVX2 table (skipped where it is unavailable).
+const kernels::F64Kernels* F64Table(benchmark::State& state) {
+  const kernels::F64Kernels* k =
+      state.range(0) != 0 ? kernels::Avx2F64Kernels() : &kernels::ScalarF64Kernels();
+  if (k == nullptr) {
+    state.SkipWithError("AVX2 kernels unavailable");
+  }
+  return k;
+}
+
+void BM_GemvF64(benchmark::State& state) {
+  const kernels::F64Kernels* k = F64Table(state);
+  if (k == nullptr) {
+    return;
+  }
   GemvFixture fx;
   for (auto _ : state) {
-    fx.RunF64();
+    fx.RunF64(*k);
   }
 }
-BENCHMARK(BM_GemvF64Scalar);
+BENCHMARK(BM_GemvF64)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_GemvF32Scalar(benchmark::State& state) {
   GemvFixture fx;
@@ -230,6 +246,10 @@ void BM_IlpSolve(benchmark::State& state) {
 BENCHMARK(BM_IlpSolve);
 
 void BM_KernelDot(benchmark::State& state) {
+  const kernels::F64Kernels* k = F64Table(state);
+  if (k == nullptr) {
+    return;
+  }
   std::vector<double> a(1024), b(1024);
   Rng rng(3);
   for (size_t i = 0; i < a.size(); ++i) {
@@ -237,42 +257,57 @@ void BM_KernelDot(benchmark::State& state) {
     b[i] = rng.NextDouble();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::Dot(a.data(), b.data(), a.size()));
+    benchmark::DoNotOptimize(k->dot(a.data(), b.data(), static_cast<int>(a.size())));
   }
 }
-BENCHMARK(BM_KernelDot);
+BENCHMARK(BM_KernelDot)->ArgName("simd")->Arg(0)->Arg(1);
 
-void BM_KernelGemvBias(benchmark::State& state) {
-  constexpr size_t kRows = 256, kCols = 64;
-  std::vector<double> m(kRows * kCols), x(kCols), bias(kRows), y(kRows);
-  Rng rng(4);
-  for (auto& v : m) {
-    v = rng.NextDouble();
-  }
-  for (auto& v : x) {
-    v = rng.NextDouble();
-  }
-  for (auto _ : state) {
-    kernels::GemvBias(y.data(), m.data(), x.data(), bias.data(), kRows, kCols);
-    benchmark::DoNotOptimize(y[0]);
-  }
-}
-BENCHMARK(BM_KernelGemvBias);
-
+// One BPTT row update at the LSTM's hidden width (H = 32).
 void BM_KernelAxpyDual(benchmark::State& state) {
-  constexpr size_t kN = 1024;
+  const kernels::F64Kernels* k = F64Table(state);
+  if (k == nullptr) {
+    return;
+  }
+  constexpr int kN = 32;
   std::vector<double> g(kN), dh(kN), w(kN), h(kN);
   Rng rng(5);
-  for (size_t i = 0; i < kN; ++i) {
+  for (int i = 0; i < kN; ++i) {
     w[i] = rng.NextDouble();
     h[i] = rng.NextDouble();
   }
   for (auto _ : state) {
-    kernels::AxpyDual(g.data(), dh.data(), w.data(), h.data(), 0.25, kN);
-    benchmark::DoNotOptimize(g[0]);
+    k->axpy_dual(g.data(), dh.data(), w.data(), h.data(), 0.25, kN);
+    benchmark::DoNotOptimize(g.data());
+    benchmark::DoNotOptimize(dh.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_KernelAxpyDual);
+BENCHMARK(BM_KernelAxpyDual)->ArgName("simd")->Arg(0)->Arg(1);
+
+// One Adam step over the default predictor's 20,897 parameters, past the
+// 356th step (c1 == 1.0), as in 97% of a default fit's steps.
+void BM_KernelAdamStep(benchmark::State& state) {
+  const kernels::F64Kernels* k = F64Table(state);
+  if (k == nullptr) {
+    return;
+  }
+  constexpr int kN = 20897;
+  std::vector<double> w(kN), m(kN), v(kN), g(kN);
+  Rng rng(6);
+  for (int i = 0; i < kN; ++i) {
+    w[i] = rng.NextGaussian(0.15);
+    g[i] = rng.NextGaussian(0.01);
+  }
+  const double t = 1000;
+  const double c1 = 1.0 - std::pow(kernels::kAdamBeta1, t);
+  const double c2 = 1.0 - std::pow(kernels::kAdamBeta2, t);
+  for (auto _ : state) {
+    k->adam(w.data(), m.data(), v.data(), g.data(), kN, 0.004, c1, c2);
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelAdamStep)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_VocabularyEncode(benchmark::State& state) {
   Program p = MakeMazuNat();
@@ -352,7 +387,9 @@ void EmitParallelComparison() {
   }
   SetNumThreads(wide);
 
-  // GEMV backend comparison on the LSTM-recurrence shape. The JSON rows
+  // GEMV backend comparison on the LSTM-recurrence shape: the dispatched
+  // f32 table against the scalar f64 table by name (the dispatched f64 table
+  // is AVX2 on the same hosts), as the row's variant says. The JSON rows
   // carry the speedup capped at 2.5 so bench_diff comparisons stay stable
   // across machines with different SIMD width / memory systems; the
   // uncapped measurement is printed for humans.
@@ -372,10 +409,10 @@ void EmitParallelComparison() {
     }
     return best;
   };
-  double f64_ms = best_of([&] { fx.RunF64(); });
+  double f64_ms = best_of([&] { fx.RunF64(kernels::ScalarF64Kernels()); });
   double f32_ms = best_of([&] { fx.RunF32(kernels::ActiveF32Kernels()); });
   double f32_speedup = f32_ms > 0 ? f64_ms / f32_ms : 0;
-  std::printf("gemv %dx%d (%s): f64 %.3fms  f32 %.3fms (%.2fx)\n", kGemvRows, kGemvCols,
+  std::printf("gemv %dx%d (%s): f64 scalar %.3fms  f32 %.3fms (%.2fx)\n", kGemvRows, kGemvCols,
               kernels::ActiveF32Kernels().name, f64_ms, f32_ms, f32_speedup);
   auto cap = [](double v) { return v < 2.5 ? v : 2.5; };
   rows.Row()

@@ -3,7 +3,8 @@
 // training parameters.
 //
 // Backends and their guarantees:
-//   * kF64 — the original scalar double path (LstmRegressor::Forward).
+//   * kF64 — the training-time double path (LstmRegressor::Forward on the
+//     f64 kernel table of src/ml/kernels.h, AVX2 or scalar, bit-identical).
 //     Bit-identical to training-time predictions; the default everywhere.
 //   * kF32 — packed float32 weights, AVX2/FMA kernels with scalar fallback
 //     (src/ml/kernels_f32.h). Bit-identical across scalar and AVX2 on the

@@ -19,30 +19,6 @@ constexpr uint16_t kLstmTag = 0x4C53;  // "LS"
 
 double Sigmoid(double v) { return 1.0 / (1.0 + std::exp(-v)); }
 
-// Adam state for one parameter vector.
-struct AdamVec {
-  std::vector<double> m;
-  std::vector<double> v;
-
-  void Init(size_t n) {
-    m.assign(n, 0.0);
-    v.assign(n, 0.0);
-  }
-
-  void Step(std::vector<double>& w, const std::vector<double>& g, double alpha, double t) {
-    constexpr double kB1 = 0.9;
-    constexpr double kB2 = 0.999;
-    constexpr double kEps = 1e-8;
-    double c1 = 1.0 - std::pow(kB1, t);
-    double c2 = 1.0 - std::pow(kB2, t);
-    for (size_t i = 0; i < w.size(); ++i) {
-      m[i] = kB1 * m[i] + (1 - kB1) * g[i];
-      v[i] = kB2 * v[i] + (1 - kB2) * g[i] * g[i];
-      w[i] -= alpha * (m[i] / c1) / (std::sqrt(v[i] / c2) + kEps);
-    }
-  }
-};
-
 }  // namespace
 
 // Flat, preallocated forward activations: one contiguous buffer per kind,
@@ -102,12 +78,13 @@ struct LstmRegressor::Grads {
 
   // acc += other, in fixed order; used for the ordered batch reduction.
   void Accum(const Grads& o) {
-    kernels::Axpy(wx.data(), 1.0, o.wx.data(), static_cast<int>(wx.size()));
-    kernels::Axpy(wh.data(), 1.0, o.wh.data(), static_cast<int>(wh.size()));
-    kernels::Axpy(b.data(), 1.0, o.b.data(), static_cast<int>(b.size()));
-    kernels::Axpy(w1.data(), 1.0, o.w1.data(), static_cast<int>(w1.size()));
-    kernels::Axpy(b1.data(), 1.0, o.b1.data(), static_cast<int>(b1.size()));
-    kernels::Axpy(w2.data(), 1.0, o.w2.data(), static_cast<int>(w2.size()));
+    const kernels::F64Kernels& k = kernels::ActiveF64Kernels();
+    k.axpy(wx.data(), 1.0, o.wx.data(), static_cast<int>(wx.size()));
+    k.axpy(wh.data(), 1.0, o.wh.data(), static_cast<int>(wh.size()));
+    k.axpy(b.data(), 1.0, o.b.data(), static_cast<int>(b.size()));
+    k.axpy(w1.data(), 1.0, o.w1.data(), static_cast<int>(w1.size()));
+    k.axpy(b1.data(), 1.0, o.b1.data(), static_cast<int>(b1.size()));
+    k.axpy(w2.data(), 1.0, o.w2.data(), static_cast<int>(w2.size()));
     b2 += o.b2;
   }
 
@@ -142,6 +119,7 @@ struct LstmRegressor::Workspace {
 double LstmRegressor::Forward(const std::vector<int>& tokens, Trace* trace) const {
   const int h_dim = opts_.hidden;
   const int f_dim = opts_.fc_hidden;
+  const kernels::F64Kernels& k = kernels::ActiveF64Kernels();
   // Inference (trace == nullptr) uses small local buffers so Predict stays
   // const and safe to call concurrently from parallel loops.
   std::vector<double> local_h, local_c, local_pre, local_fc;
@@ -171,7 +149,7 @@ double LstmRegressor::Forward(const std::vector<int>& tokens, Trace* trace) cons
       x = 0;
     }
     // pre = Wh h + b + Wx[:, x]  (one-hot input == column gather).
-    kernels::GemvBias(pre, p_.wh.data(), h, nullptr, 4 * h_dim, h_dim);
+    k.gemv_bias(pre, p_.wh.data(), h, nullptr, 4 * h_dim, h_dim);
     kernels::OneHotGatherAdd(pre, p_.wx.data(), p_.b.data(), x, 4 * h_dim, vocab_);
     double* gates = trace != nullptr ? &trace->gates[t * 4 * h_dim] : pre;
     for (int j = 0; j < h_dim; ++j) {
@@ -196,11 +174,11 @@ double LstmRegressor::Forward(const std::vector<int>& tokens, Trace* trace) cons
   // FC head: relu(W1 h + b1) -> linear.
   double* fc_pre = trace != nullptr ? trace->fc_pre.data() : local_fc.data();
   double* fc = trace != nullptr ? trace->fc_hidden.data() : local_fc.data() + f_dim;
-  kernels::GemvBias(fc_pre, p_.w1.data(), h, p_.b1.data(), f_dim, h_dim);
+  k.gemv_bias(fc_pre, p_.w1.data(), h, p_.b1.data(), f_dim, h_dim);
   for (int f = 0; f < f_dim; ++f) {
     fc[f] = fc_pre[f] > 0 ? fc_pre[f] : 0;
   }
-  double y = p_.b2 + kernels::Dot(p_.w2.data(), fc, f_dim);
+  double y = p_.b2 + k.dot(p_.w2.data(), fc, f_dim);
   if (trace != nullptr) {
     trace->len = static_cast<int>(len);
     trace->y = y;
@@ -211,6 +189,7 @@ double LstmRegressor::Forward(const std::vector<int>& tokens, Trace* trace) cons
 double LstmRegressor::ExampleGradient(const SeqExample& ex, Workspace& ws) const {
   const int h_dim = opts_.hidden;
   const int f_dim = opts_.fc_hidden;
+  const kernels::F64Kernels& k = kernels::ActiveF64Kernels();
   Trace& tr = ws.tr;
   Grads& g = ws.grads;
   g.Zero();
@@ -237,8 +216,8 @@ double LstmRegressor::ExampleGradient(const SeqExample& ex, Workspace& ws) const
       dfc = 0;
     }
     g.b1[f] = dfc;
-    kernels::AxpyDual(&g.w1[static_cast<size_t>(f) * h_dim], dh,
-                      &p_.w1[static_cast<size_t>(f) * h_dim], h_last, dfc, h_dim);
+    k.axpy_dual(&g.w1[static_cast<size_t>(f) * h_dim], dh,
+                &p_.w1[static_cast<size_t>(f) * h_dim], h_last, dfc, h_dim);
   }
   // BPTT over the preallocated trace.
   for (int t = len - 1; t >= 0; --t) {
@@ -265,16 +244,15 @@ double LstmRegressor::ExampleGradient(const SeqExample& ex, Workspace& ws) const
     }
     std::fill(dh, dh + h_dim, 0.0);
     int x = tr.x[t];
-    for (int k = 0; k < 4 * h_dim; ++k) {
-      double d = dpre[k];
-      g.b[k] += d;
-      g.wx[static_cast<size_t>(k) * vocab_ + x] += d;
-      const double* wh_row = &p_.wh[static_cast<size_t>(k) * h_dim];
+    for (int r = 0; r < 4 * h_dim; ++r) {
+      double d = dpre[r];
+      g.b[r] += d;
+      g.wx[static_cast<size_t>(r) * vocab_ + x] += d;
+      const double* wh_row = &p_.wh[static_cast<size_t>(r) * h_dim];
       if (h_prev != nullptr) {
-        kernels::AxpyDual(&g.wh[static_cast<size_t>(k) * h_dim], dh, wh_row, h_prev, d,
-                          h_dim);
+        k.axpy_dual(&g.wh[static_cast<size_t>(r) * h_dim], dh, wh_row, h_prev, d, h_dim);
       } else {
-        kernels::Axpy(dh, d, wh_row, h_dim);
+        k.axpy(dh, d, wh_row, h_dim);
       }
     }
   }
@@ -316,14 +294,12 @@ void LstmRegressor::Fit(const SeqDataset& data) {
     y_scale_ = std::max(y_scale_, std::abs(ex.target));
   }
 
-  AdamVec a_wx, a_wh, a_b, a_w1, a_b1, a_w2, a_b2;
-  a_wx.Init(p_.wx.size());
-  a_wh.Init(p_.wh.size());
-  a_b.Init(p_.b.size());
-  a_w1.Init(p_.w1.size());
-  a_b1.Init(p_.b1.size());
-  a_w2.Init(p_.w2.size());
-  a_b2.Init(1);
+  // Adam moments for every parameter, laid out wx, wh, b, w1, b1, w2, b2.
+  const size_t n_params = p_.wx.size() + p_.wh.size() + p_.b.size() + p_.w1.size() +
+                          p_.b1.size() + p_.w2.size() + 1;
+  std::vector<double> adam_m(n_params, 0.0);
+  std::vector<double> adam_v(n_params, 0.0);
+  const kernels::F64Kernels& k = kernels::ActiveF64Kernels();
 
   const size_t batch = static_cast<size_t>(std::max(1, opts_.batch_size));
   std::vector<Workspace> ws(batch);
@@ -334,7 +310,6 @@ void LstmRegressor::Fit(const SeqDataset& data) {
   // the update is independent of how the pool schedules the slots).
   Grads acc;
   acc.Init(p_);
-  std::vector<double> g_b2(1);
 
   double adam_t = 0;
   for (int epoch = 0; epoch < opts_.epochs; ++epoch) {
@@ -360,16 +335,21 @@ void LstmRegressor::Fit(const SeqDataset& data) {
       }
 
       ++adam_t;
-      a_wx.Step(p_.wx, grad->wx, opts_.learning_rate, adam_t);
-      a_wh.Step(p_.wh, grad->wh, opts_.learning_rate, adam_t);
-      a_b.Step(p_.b, grad->b, opts_.learning_rate, adam_t);
-      a_w1.Step(p_.w1, grad->w1, opts_.learning_rate, adam_t);
-      a_b1.Step(p_.b1, grad->b1, opts_.learning_rate, adam_t);
-      a_w2.Step(p_.w2, grad->w2, opts_.learning_rate, adam_t);
-      g_b2[0] = grad->b2;
-      std::vector<double> b2v = {p_.b2};
-      a_b2.Step(b2v, g_b2, opts_.learning_rate, adam_t);
-      p_.b2 = b2v[0];
+      const double c1 = 1.0 - std::pow(kernels::kAdamBeta1, adam_t);
+      const double c2 = 1.0 - std::pow(kernels::kAdamBeta2, adam_t);
+      size_t off = 0;
+      auto adam = [&](double* w, const double* g, size_t n) {
+        k.adam(w, &adam_m[off], &adam_v[off], g, static_cast<int>(n), opts_.learning_rate,
+               c1, c2);
+        off += n;
+      };
+      adam(p_.wx.data(), grad->wx.data(), p_.wx.size());
+      adam(p_.wh.data(), grad->wh.data(), p_.wh.size());
+      adam(p_.b.data(), grad->b.data(), p_.b.size());
+      adam(p_.w1.data(), grad->w1.data(), p_.w1.size());
+      adam(p_.b1.data(), grad->b1.data(), p_.b1.size());
+      adam(p_.w2.data(), grad->w2.data(), p_.w2.size());
+      adam(&p_.b2, &grad->b2, 1);
     }
     if (obs::Enabled() && !data.examples.empty()) {
       double mean_loss = epoch_sse / static_cast<double>(data.examples.size());

@@ -3,9 +3,10 @@
 //
 // The one-hot input (enabled by vocabulary compaction) is exploited directly:
 // the input transform is a column gather from the input weight matrix, so
-// cost is independent of vocabulary size. The forward/backward passes run on
-// the fused kernels in src/ml/kernels.h with preallocated BPTT trace buffers
-// (no per-step allocation).
+// cost is independent of vocabulary size. The forward/backward passes and the
+// Adam update run on the dispatched f64 kernel table in src/ml/kernels.h
+// (AVX2 or scalar, bit-identical) with preallocated BPTT trace buffers and
+// Adam moments (no per-step allocation).
 //
 // Training is Adam over minibatches of `batch_size` sequences. Per-example
 // gradients inside a batch are computed data-parallel on the shared thread

@@ -96,6 +96,10 @@ void TraceSink::AddEvents(std::vector<TraceEvent>&& events) {
 
 void TraceSink::AddSpans(const SpanRecord* spans, size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (n > kMaxSpans - spans_.size()) {
+    dropped_spans_ += n;
+    return;
+  }
   spans_.insert(spans_.end(), spans, spans + n);
 }
 
@@ -125,6 +129,11 @@ void TraceSink::AddInstant(const std::string& name, const std::string& cat) {
 size_t TraceSink::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_.size() + spans_.size();
+}
+
+size_t TraceSink::dropped_spans() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_spans_;
 }
 
 std::vector<TraceEvent> TraceSink::Events() const {

@@ -8,6 +8,7 @@
 #define SRC_OBS_TRACE_H_
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -45,6 +46,12 @@ struct SpanRecord {
 
 class TraceSink {
  public:
+  // The most SpanRecords one sink keeps: 12 MiB of records, about 87,000
+  // traced daemon requests at three spans each. A batch that does not fit
+  // whole is counted in dropped_spans() instead, so a long traced run stays
+  // bounded and every kept request keeps its whole span tree.
+  static constexpr size_t kMaxSpans = size_t{1} << 18;
+
   TraceSink();
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
@@ -63,12 +70,15 @@ class TraceSink {
                            int64_t ts_us, int64_t dur_us, uint64_t trace_id);
   // Append a pre-built batch under one lock.
   void AddEvents(std::vector<TraceEvent>&& events);
-  // Appends spans under one lock, without copying their strings.
+  // Appends spans under one lock, without copying their strings; drops the
+  // whole batch once it would take the sink past kMaxSpans.
   void AddSpans(const SpanRecord* spans, size_t n);
   void AddCounter(const std::string& name, double value);
   void AddInstant(const std::string& name, const std::string& cat);
 
   size_t size() const;
+  // Spans AddSpans dropped at the kMaxSpans limit.
+  size_t dropped_spans() const;
   // Every event, TraceEvents in arrival order followed by SpanRecords in
   // arrival order.
   std::vector<TraceEvent> Events() const;
@@ -87,6 +97,7 @@ class TraceSink {
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
   std::vector<SpanRecord> spans_;
+  size_t dropped_spans_ = 0;
 };
 
 // Global sink registration. Not owned; caller keeps the sink alive for the

@@ -1,11 +1,13 @@
-// Tests for the f32 inference kernels (src/ml/kernels_f32.h) and the packed
-// inference engine (src/ml/infer.h).
+// Tests for the f32 inference kernels (src/ml/kernels_f32.h), the f64
+// training kernels (src/ml/kernels.h) and the packed inference engine
+// (src/ml/infer.h).
 //
 // The load-bearing property is the determinism contract: the scalar and AVX2
 // kernel tables must agree bit-for-bit on every input length, so a model
-// served on a machine without AVX2 answers byte-identically to one with it.
-// When the binary was built without SIMD or the CPU lacks AVX2+FMA, the
-// bit-exactness tests skip (there is only one implementation to test).
+// trained or served on a machine without AVX2 is byte-identical to one with
+// it. When the binary was built without SIMD or the CPU lacks the features a
+// table needs, its bit-exactness tests skip (there is only one
+// implementation to test).
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/ml/infer.h"
+#include "src/ml/kernels.h"
 #include "src/ml/kernels_f32.h"
 #include "src/ml/lstm.h"
 #include "src/ml/simd.h"
@@ -111,6 +114,179 @@ TEST_F(SimdExactnessTest, ElementwiseBitExactEveryLength) {
     avx2_->sigmoid_v(zv.data(), x.data(), n);
     EXPECT_EQ(0, std::memcmp(zs.data(), zv.data(), n * sizeof(float)))
         << "sigmoid_v diverges at n=" << n;
+  }
+}
+
+// ---- f64 training kernels: scalar vs AVX2 bit-exactness, every length 0..67 ----
+
+using kernels::Avx2F64Kernels;
+using kernels::F64Kernels;
+using kernels::ScalarF64Kernels;
+
+constexpr int kMaxF64Len = 67;  // every vector body and tail split, n % 4 == 0..3
+
+std::vector<double> RandomF64(Rng& rng, int n, double lo = -3.0, double hi = 3.0) {
+  std::vector<double> v(n);
+  for (auto& x : v) x = lo + (hi - lo) * rng.NextDouble();
+  return v;
+}
+
+uint64_t Bits(double x) {
+  uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+// Compares bit patterns, not values: == would call -0.0 and 0.0 equal.
+::testing::AssertionResult SameBits(const std::vector<double>& a,
+                                    const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "sizes " << a.size() << " vs " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (Bits(a[i]) != Bits(b[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class F64ExactnessTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    avx2_ = Avx2F64Kernels();
+    if (avx2_ == nullptr) {
+      GTEST_SKIP() << "AVX2 f64 kernels unavailable (built out or CPU lacks "
+                      "avx2); scalar table is the only implementation";
+    }
+  }
+  const F64Kernels& scalar_ = ScalarF64Kernels();
+  const F64Kernels* avx2_ = nullptr;
+};
+
+TEST_F(F64ExactnessTest, DotBitExactEveryLength) {
+  Rng rng(17);
+  for (int n = 0; n <= kMaxF64Len; ++n) {
+    std::vector<double> a = RandomF64(rng, n), b = RandomF64(rng, n);
+    EXPECT_EQ(Bits(scalar_.dot(a.data(), b.data(), n)), Bits(avx2_->dot(a.data(), b.data(), n)))
+        << "dot diverges at n=" << n;
+  }
+}
+
+TEST_F(F64ExactnessTest, GemvBiasBitExactEveryShape) {
+  Rng rng(19);
+  auto check = [&](int rows, int cols) {
+    std::vector<double> m = RandomF64(rng, rows * cols);
+    std::vector<double> x = RandomF64(rng, cols);
+    std::vector<double> bias = RandomF64(rng, rows);
+    std::vector<double> ys(rows), yv(rows);
+    scalar_.gemv_bias(ys.data(), m.data(), x.data(), bias.data(), rows, cols);
+    avx2_->gemv_bias(yv.data(), m.data(), x.data(), bias.data(), rows, cols);
+    EXPECT_TRUE(SameBits(ys, yv)) << "gemv_bias diverges at " << rows << "x" << cols;
+    scalar_.gemv_bias(ys.data(), m.data(), x.data(), nullptr, rows, cols);
+    avx2_->gemv_bias(yv.data(), m.data(), x.data(), nullptr, rows, cols);
+    EXPECT_TRUE(SameBits(ys, yv)) << "gemv_bias (no bias) diverges at " << rows << "x"
+                                  << cols;
+  };
+  // Seven rows: one four-row block plus three single rows.
+  for (int cols = 0; cols <= kMaxF64Len; ++cols) {
+    check(7, cols);
+  }
+  check(128, 32);  // the LSTM recurrence, 4H x H at H = 32
+  check(16, 32);   // the FC head, F x H
+}
+
+TEST_F(F64ExactnessTest, AxpyAndAxpyDualBitExactEveryLength) {
+  Rng rng(23);
+  for (int n = 0; n <= kMaxF64Len; ++n) {
+    std::vector<double> x = RandomF64(rng, n), w = RandomF64(rng, n);
+    std::vector<double> ys = RandomF64(rng, n), yv = ys;
+    scalar_.axpy(ys.data(), -0.37, x.data(), n);
+    avx2_->axpy(yv.data(), -0.37, x.data(), n);
+    EXPECT_TRUE(SameBits(ys, yv)) << "axpy diverges at n=" << n;
+
+    std::vector<double> gs = RandomF64(rng, n), gv = gs;
+    std::vector<double> dhs = RandomF64(rng, n), dhv = dhs;
+    scalar_.axpy_dual(gs.data(), dhs.data(), w.data(), x.data(), 1.93, n);
+    avx2_->axpy_dual(gv.data(), dhv.data(), w.data(), x.data(), 1.93, n);
+    EXPECT_TRUE(SameBits(gs, gv)) << "axpy_dual g diverges at n=" << n;
+    EXPECT_TRUE(SameBits(dhs, dhv)) << "axpy_dual dh diverges at n=" << n;
+  }
+}
+
+// Gradients mixing ordinary values with ±0, subnormals and magnitudes whose
+// square overflows to infinity.
+std::vector<double> AdamGradients(Rng& rng, int n) {
+  const double special[] = {0.0, -0.0, 4.9e-324, -2.2e-310, 1e-300, 1e150, -1e200, 1e300};
+  std::vector<double> g = RandomF64(rng, n, -0.5, 0.5);
+  for (int i = 0; i < n; ++i) {
+    if (rng.NextBounded(3) == 0) {
+      g[i] = special[rng.NextBounded(sizeof(special) / sizeof(special[0]))];
+    }
+  }
+  return g;
+}
+
+double AdamC1(double t) { return 1.0 - std::pow(kernels::kAdamBeta1, t); }
+double AdamC2(double t) { return 1.0 - std::pow(kernels::kAdamBeta2, t); }
+
+// t = 355 is the last step where c1 < 1.0; from 356 on both tables skip the
+// m / c1 division. 12,540 is the default fit's last step.
+constexpr double kAdamSteps[] = {1, 355, 356, 12540};
+
+TEST_F(F64ExactnessTest, AdamStepBitExactEveryLength) {
+  Rng rng(29);
+  for (double t : kAdamSteps) {
+    for (int n = 0; n <= kMaxF64Len; ++n) {
+      std::vector<double> g = AdamGradients(rng, n);
+      std::vector<double> ws = RandomF64(rng, n), wv = ws;
+      std::vector<double> ms = RandomF64(rng, n, -0.1, 0.1), mv = ms;
+      std::vector<double> vs = RandomF64(rng, n, 0.0, 0.01), vv = vs;
+      scalar_.adam(ws.data(), ms.data(), vs.data(), g.data(), n, 0.004, AdamC1(t),
+                   AdamC2(t));
+      avx2_->adam(wv.data(), mv.data(), vv.data(), g.data(), n, 0.004, AdamC1(t),
+                  AdamC2(t));
+      EXPECT_TRUE(SameBits(ws, wv)) << "adam w diverges at t=" << t << " n=" << n;
+      EXPECT_TRUE(SameBits(ms, mv)) << "adam m diverges at t=" << t << " n=" << n;
+      EXPECT_TRUE(SameBits(vs, vv)) << "adam v diverges at t=" << t << " n=" << n;
+    }
+  }
+}
+
+// The step both tables skip the m / c1 division from: c1 = 1 - 0.9^t first
+// rounds to exactly 1.0 at t = 356.
+TEST(F64KernelsTest, AdamBiasCorrectionReachesOneAtStep356) {
+  EXPECT_LT(AdamC1(355), 1.0);
+  EXPECT_EQ(AdamC1(356), 1.0);
+  EXPECT_LT(AdamC2(12540), 1.0);
+}
+
+// Both tables against the textbook update, which divides by c1 on every
+// step: skipping the division at c1 == 1.0 must change no bit.
+TEST(F64KernelsTest, AdamStepMatchesTextbookUpdate) {
+  Rng rng(31);
+  const double alpha = 0.004;
+  for (double t : kAdamSteps) {
+    const int n = 37;
+    const double c1 = AdamC1(t), c2 = AdamC2(t);
+    std::vector<double> g = AdamGradients(rng, n);
+    std::vector<double> w = RandomF64(rng, n);
+    std::vector<double> m = RandomF64(rng, n, -0.1, 0.1);
+    std::vector<double> v = RandomF64(rng, n, 0.0, 0.01);
+    std::vector<double> wt = w, mt = m, vt = v;
+    for (int i = 0; i < n; ++i) {
+      mt[i] = 0.9 * mt[i] + (1 - 0.9) * g[i];
+      vt[i] = 0.999 * vt[i] + (1 - 0.999) * g[i] * g[i];
+      wt[i] -= alpha * (mt[i] / c1) / (std::sqrt(vt[i] / c2) + 1e-8);
+    }
+    for (const F64Kernels* k : {&ScalarF64Kernels(), &kernels::ActiveF64Kernels()}) {
+      std::vector<double> wk = w, mk = m, vk = v;
+      k->adam(wk.data(), mk.data(), vk.data(), g.data(), n, alpha, c1, c2);
+      EXPECT_TRUE(SameBits(wt, wk)) << k->name << " w at t=" << t;
+      EXPECT_TRUE(SameBits(mt, mk)) << k->name << " m at t=" << t;
+      EXPECT_TRUE(SameBits(vt, vk)) << k->name << " v at t=" << t;
+    }
   }
 }
 

@@ -260,6 +260,33 @@ TEST(TraceSink, SpanRecordsRenderAsCompleteEvents) {
             std::string::npos);
 }
 
+TEST(TraceSink, SpansPastTheLimitAreDroppedAndCounted) {
+  TraceSink sink;
+  constexpr size_t kBatch = 1024;
+  static_assert(TraceSink::kMaxSpans % kBatch == 0);
+  std::vector<SpanRecord> batch(kBatch, SpanRecord{"serve.request", "serve", 1, 2, 3, 4});
+  for (size_t added = 0; added + kBatch < TraceSink::kMaxSpans; added += kBatch) {
+    sink.AddSpans(batch.data(), kBatch);
+  }
+  // One slot short of the limit: a two-span tree does not fit and is dropped
+  // whole; a one-span tree still fits.
+  sink.AddSpans(batch.data(), kBatch - 1);
+  EXPECT_EQ(sink.size(), TraceSink::kMaxSpans - 1);
+  sink.AddSpans(batch.data(), 2);
+  EXPECT_EQ(sink.size(), TraceSink::kMaxSpans - 1);
+  EXPECT_EQ(sink.dropped_spans(), 2u);
+  sink.AddSpans(batch.data(), 1);
+  EXPECT_EQ(sink.size(), TraceSink::kMaxSpans);
+  // Full: every further span is counted, none kept.
+  sink.AddSpans(batch.data(), kBatch);
+  sink.AddSpans(batch.data(), 1);
+  EXPECT_EQ(sink.size(), TraceSink::kMaxSpans);
+  EXPECT_EQ(sink.dropped_spans(), 2 + kBatch + 1);
+  // Other events are not capped by the span limit.
+  sink.AddComplete("stage.one", "pipeline", 1, 2);
+  EXPECT_EQ(sink.size(), TraceSink::kMaxSpans + 1);
+}
+
 TEST(TraceSink, NoSinkMeansNoCollection) {
   SetGlobalTrace(nullptr);
   {

@@ -392,8 +392,11 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     obs::SetGlobalTrace(nullptr);
     if (sink.WriteChromeJson(trace_path)) {
-      std::fprintf(stderr, "clara_serve: wrote %zu trace event(s) to %s\n", sink.size(),
-                   trace_path.c_str());
+      std::fprintf(stderr,
+                   "clara_serve: wrote %zu trace event(s) to %s (%zu span(s) dropped "
+                   "past the %zu-span limit)\n",
+                   sink.size(), trace_path.c_str(), sink.dropped_spans(),
+                   obs::TraceSink::kMaxSpans);
     } else {
       std::fprintf(stderr, "clara_serve: cannot write %s\n", trace_path.c_str());
       rc = rc == 0 ? 1 : rc;
