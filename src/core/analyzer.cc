@@ -1,5 +1,8 @@
 #include "src/core/analyzer.h"
 
+#include <algorithm>
+#include <atomic>
+#include <limits>
 #include <sstream>
 
 #include "src/lang/interp.h"
@@ -8,9 +11,19 @@
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
 #include "src/util/binio.h"
+#include "src/util/parallel.h"
 #include "src/workload/workload.h"
 
 namespace clara {
+namespace {
+
+// Packets the trace producer generates between two publications of its count.
+constexpr size_t kProfileChunk = 128;
+
+// The published count of a producer that threw: its consumer stops.
+constexpr size_t kProducerFailed = std::numeric_limits<size_t>::max();
+
+}  // namespace
 
 std::string OffloadingInsights::ToString(const NicConfig& cfg) const {
   std::ostringstream os;
@@ -136,38 +149,80 @@ OffloadingInsights ClaraAnalyzer::Analyze(Program program, const WorkloadSpec& w
     out.nf_name = nf.program().name;
     return out;
   }
-  NfPrediction prediction = [&] {
-    obs::StageTimer t("core.analyzer.predict", "core.analyzer.stage_ms.predict");
-    return predictor_.PredictNf(nf.module());
-  }();
-  return Analyze(nf, workload, std::move(prediction));
+  return Analyze(nf, workload);
 }
 
 OffloadingInsights ClaraAnalyzer::Analyze(NfInstance& nf, const WorkloadSpec& workload,
-                                          NfPrediction prediction) const {
+                                          StageWindow* predict) const {
   OffloadingInsights out;
   out.nf_name = nf.program().name;
-  out.prediction = std::move(prediction);
-  {
-    // Workload-specific profiling on the host (paper §4.3: run the NF with
-    // its reverse-ported data structures on the specified workload).
-    obs::StageTimer t("core.analyzer.profile", "core.analyzer.stage_ms.profile");
-    Trace trace = GenerateTrace(workload, opts_.profile_packets);
-    for (auto& pkt : trace.packets) {
-      nf.Process(pkt);
-    }
-  }
   const Module& m = nf.module();
-  {
-    obs::StageTimer t("core.analyzer.classify", "core.analyzer.stage_ms.classify");
-    out.accelerator = algo_id_.Classify(m);
-  }
-
   NicProgram nic;
+
+  // Workload-specific profiling on the host (paper §4.3: run the NF with its
+  // reverse-ported data structures on the specified workload) overlaps the
+  // stages that read only the IR. Each task owns its outputs: task 0 writes
+  // out.prediction, out.accelerator and nic; task 1 writes `packets` and
+  // publishes how many are ready; task 2 alone runs nf's handler. Chunks are
+  // claimed in index order, so task 2 waits only on a producer that some
+  // thread is already running, and a one-thread run is serial.
+  const size_t n = opts_.profile_packets;
+  std::vector<Packet> packets(n);
+  std::atomic<size_t> published{0};
+  ParallelForGrain(3, 1, [&](size_t task) {
+    if (task == 0) {
+      {
+        // Nested in this loop, so PredictNf maps its blocks inline.
+        obs::StageTimer t("core.analyzer.predict", "core.analyzer.stage_ms.predict");
+        std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
+        out.prediction = predictor_.PredictNf(m);
+        if (predict != nullptr) {
+          *predict = StageWindow{start, std::chrono::steady_clock::now()};
+        }
+      }
+      {
+        obs::StageTimer t("core.analyzer.classify", "core.analyzer.stage_ms.classify");
+        out.accelerator = algo_id_.Classify(m);
+      }
+      obs::StageTimer t("core.analyzer.compile", "core.analyzer.stage_ms.compile");
+      nic = CompileToNic(m, opts_.predictor.backend);
+    } else if (task == 1) {
+      obs::StageTimer t("core.analyzer.gentrace", "core.analyzer.stage_ms.gentrace");
+      try {
+        TraceGenerator generator(workload);
+        for (size_t ready = 0; ready < n;) {
+          size_t chunk = std::min(kProfileChunk, n - ready);
+          generator.Fill(packets.data() + ready, chunk);
+          ready += chunk;
+          published.store(ready, std::memory_order_release);
+          published.notify_one();
+        }
+      } catch (...) {
+        published.store(kProducerFailed, std::memory_order_release);
+        published.notify_one();
+        throw;
+      }
+    } else {
+      obs::StageTimer t("core.analyzer.profile", "core.analyzer.stage_ms.profile");
+      for (size_t done = 0; done < n;) {
+        size_t ready = published.load(std::memory_order_acquire);
+        if (ready == kProducerFailed) {
+          return;  // ParallelForGrain rethrows the producer's exception
+        }
+        if (ready == done) {
+          published.wait(done, std::memory_order_acquire);
+          continue;
+        }
+        for (; done < ready; ++done) {
+          nf.Process(packets[done]);
+        }
+      }
+    }
+  });
+
   NfDemand naive;
   {
     obs::StageTimer t("core.analyzer.demand", "core.analyzer.stage_ms.demand");
-    nic = CompileToNic(m, opts_.predictor.backend);
     naive = BuildDemand(m, nic, nf.profile(), workload, opts_.nic);
   }
 

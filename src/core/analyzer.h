@@ -4,6 +4,7 @@
 #ifndef SRC_CORE_ANALYZER_H_
 #define SRC_CORE_ANALYZER_H_
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,6 +72,12 @@ struct TrainedBundle {
   bool LoadFrom(BinReader& r);
 };
 
+// When one stage of an Analyze call ran, on the steady clock.
+struct StageWindow {
+  std::chrono::steady_clock::time_point start;
+  std::chrono::steady_clock::time_point end;
+};
+
 class ClaraAnalyzer {
  public:
   explicit ClaraAnalyzer(AnalyzerOptions opts = AnalyzerOptions{});
@@ -89,18 +96,24 @@ class ClaraAnalyzer {
   TrainedBundle ExportTrained() const;
 
   // Full analysis of an unported NF under a workload: lowers the program
-  // once into an NfInstance, predicts its blocks' NIC cost (PredictNf), then
-  // runs the overload below. A program that does not lower yields insights
-  // that carry only its name.
+  // once into an NfInstance and runs the overload below on it. A program that
+  // does not lower yields insights that carry only its name.
   OffloadingInsights Analyze(Program program, const WorkloadSpec& workload) const;
 
-  // The rest of the pipeline for an NF already lowered and predicted: profiles
-  // `nf` on `workload` (which runs its handler and so changes its state and
-  // profile), then derives every insight. `nf` must be ok() and `prediction`
-  // must be predictor().PredictNf(nf.module()). The serve engine calls this
-  // directly so that it can time lowering and inference as stages of their own.
+  // The pipeline for an NF already lowered; `nf` must be ok(). Three stages
+  // overlap on the shared pool, because profiling needs only the lowered IR
+  // and the other two never read the profile:
+  //   - predicting the blocks' NIC cost (PredictNf), classifying the NF and
+  //     compiling it, on the calling thread;
+  //   - generating `workload`'s trace, published in chunks of packets;
+  //   - interpreting those packets in order as they are published, which runs
+  //     `nf`'s handler and so changes its state and profile.
+  // Demand, scale-out, placement, coalescing and evaluation then run on the
+  // calling thread. The insights are bit-identical at any thread count. When
+  // `predict` is not null it receives when PredictNf started and ended; the
+  // serve engine reports that window as its inference stage.
   OffloadingInsights Analyze(NfInstance& nf, const WorkloadSpec& workload,
-                             NfPrediction prediction) const;
+                             StageWindow* predict = nullptr) const;
 
   // Selects the LSTM inference backend for all subsequent Analyze calls
   // (src/ml/infer.h); the serve engine applies ServeOptions.infer_backend

@@ -68,6 +68,22 @@ struct LstmRegressor::Grads {
 
   void Zero() {
     std::fill(wx.begin(), wx.end(), 0.0);
+    ZeroAllButWx();
+  }
+
+  // Zero() for a buffer that holds one example's gradient, whose BPTT wrote
+  // only the wx columns of its tokens `x[0, len)`: every other wx column is
+  // still zero, so only those columns are cleared.
+  void ZeroExample(const int* x, int len, int vocab) {
+    for (size_t row = 0; row < wx.size(); row += static_cast<size_t>(vocab)) {
+      for (int t = 0; t < len; ++t) {
+        wx[row + static_cast<size_t>(x[t])] = 0.0;
+      }
+    }
+    ZeroAllButWx();
+  }
+
+  void ZeroAllButWx() {
     std::fill(wh.begin(), wh.end(), 0.0);
     std::fill(b.begin(), b.end(), 0.0);
     std::fill(w1.begin(), w1.end(), 0.0);
@@ -192,7 +208,7 @@ double LstmRegressor::ExampleGradient(const SeqExample& ex, Workspace& ws) const
   const kernels::F64Kernels& k = kernels::ActiveF64Kernels();
   Trace& tr = ws.tr;
   Grads& g = ws.grads;
-  g.Zero();
+  g.ZeroExample(tr.x.data(), tr.len, vocab_);  // the trace still holds the last example
 
   double y = Forward(ex.tokens, &tr);
   double target = ex.target / y_scale_;

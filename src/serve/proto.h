@@ -105,9 +105,13 @@ struct LatencyBreakdown {
   uint32_t parse_us = 0;    // program resolution (parse/check or registry;
                             // on a miss, also lowering into an NfInstance)
   uint32_t infer_us = 0;    // LSTM inference over this request's blocks
-  uint32_t analyze_us = 0;  // profiling and the analysis after inference
+  uint32_t analyze_us = 0;  // the whole analysis: inference, profiling and
+                            // everything derived from them
   uint32_t encode_us = 0;   // response-body encoding + cache store
   uint32_t total_us = 0;    // submit -> fulfill
+  // infer_us overlaps analyze_us: inference runs inside the analysis, beside
+  // the profiling. So the stage times no longer sum to total_us; queue,
+  // parse, analyze and encode still do, up to the untimed gaps between them.
 };
 
 // The response payload. `id` echoes the request. On error, `error` is set

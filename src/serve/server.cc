@@ -21,6 +21,7 @@
 #include "src/synth/algorithm_corpus.h"
 #include "src/util/binio.h"
 #include "src/util/fault.h"
+#include "src/util/parallel.h"
 
 namespace clara {
 namespace serve {
@@ -544,12 +545,9 @@ void ServeEngine::Process(Pending& p) {
                              "lowering failed: " + nf.error()));
     return;
   }
-  StageSpan infer_span{"serve.infer", lower_span.end, {}};
-  NfPrediction prediction = analyzer.predictor().PredictNf(nf.module());
-  infer_span.end = Clock::now();
-  p.spans.push_back(infer_span);
-  StageSpan analyze_span{"serve.analyze", infer_span.end, {}};
-  OffloadingInsights insights = analyzer.Analyze(nf, p.req.workload, std::move(prediction));
+  StageSpan analyze_span{"serve.analyze", lower_span.end, {}};
+  StageWindow infer;
+  OffloadingInsights insights = analyzer.Analyze(nf, p.req.workload, &infer);
   InsightResponse resp;
   resp.id = p.req.id;
   resp.nf_name = insights.nf_name;
@@ -564,6 +562,9 @@ void ServeEngine::Process(Pending& p) {
   resp.rendered = insights.ToString(opts_.nic);
   analyze_span.end = Clock::now();
   p.spans.push_back(analyze_span);
+  // Inference is one task of the analysis and overlaps its profiling, so
+  // serve.infer nests under serve.analyze.
+  p.spans.push_back(StageSpan{"serve.infer", infer.start, infer.end});
   StageSpan encode_span{"serve.encode", analyze_span.end, {}};
   CachePut(program_hash, workload_hash, EncodeResponseBody(resp), model->version);
   encode_span.end = Clock::now();
@@ -677,11 +678,15 @@ std::shared_ptr<ServeEngine::ModelSnapshot> ServeEngine::ValidateCandidate(
                                               opts_.infer_backend, /*ver=*/0);
   // Canary inference: before the candidate may serve traffic it must analyze
   // a known registry element to a sane insight — a bundle that deserialized
-  // cleanly but predicts garbage is rejected here, off the serving path.
+  // cleanly but predicts garbage is rejected here, off the serving path. It
+  // runs inline on the reloading thread, so a reload takes no pool threads
+  // from the misses being served meanwhile.
   const auto& registry = ElementRegistry();
   if (!registry.empty()) {
-    OffloadingInsights canary =
-        cand->analyzer.Analyze(registry.front().make(), WorkloadSpec::SmallFlows());
+    OffloadingInsights canary;
+    RunInline([&] {
+      canary = cand->analyzer.Analyze(registry.front().make(), WorkloadSpec::SmallFlows());
+    });
     if (canary.suggested_cores < 1 ||
         !std::isfinite(canary.prediction.total_compute) ||
         canary.prediction.total_compute < 0) {

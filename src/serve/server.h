@@ -26,8 +26,10 @@
 //     the next. It resolves the program and probes the cache again, so a
 //     request whose key an earlier queued request just filled is a hit, not
 //     a second analysis. A miss then goes through ClaraAnalyzer's pipeline:
-//     one lowering into an NfInstance, PredictNf (its blocks in parallel on
-//     the shared thread pool), and the analysis proper. Requests are answered
+//     one lowering into an NfInstance, then the analysis, which runs
+//     PredictNf, classification and the NIC compile on the dispatcher while
+//     two pool threads generate and interpret the profiling trace, and
+//     reports PredictNf's window as the serve.infer stage. Requests are answered
 //     in the order the dispatcher reaches them, errors and hits included;
 //     per-connection order is the transport's job (the event loop's response
 //     slots, the pipe loop's futures).

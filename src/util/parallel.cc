@@ -18,6 +18,19 @@ namespace {
 
 thread_local bool t_in_parallel_region = false;
 
+// Marks the calling thread as inside a parallel region while it lives, and
+// restores the previous mark when it goes, on an exception too.
+class RegionMark {
+ public:
+  RegionMark() : prev_(t_in_parallel_region) { t_in_parallel_region = true; }
+  ~RegionMark() { t_in_parallel_region = prev_; }
+  RegionMark(const RegionMark&) = delete;
+  RegionMark& operator=(const RegionMark&) = delete;
+
+ private:
+  bool prev_;
+};
+
 // One fork-join loop in flight. Chunks are claimed from `next`; the last
 // finisher signals the condition variable so the caller can return.
 struct Job {
@@ -29,14 +42,11 @@ struct Job {
   std::condition_variable cv;
   std::exception_ptr error;  // first failure; guarded by mu
 
-  void RunChunks() {
-    bool prev = t_in_parallel_region;
-    t_in_parallel_region = true;
-    for (;;) {
-      size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) {
-        break;
-      }
+  // Runs chunk 0 first when `holds_first` (the caller claimed it by starting
+  // `next` at 1), then every chunk this thread can claim.
+  void RunChunks(bool holds_first = false) {
+    RegionMark mark;
+    for (size_t c = holds_first ? 0 : Claim(); c < num_chunks; c = Claim()) {
       try {
         body(c);
       } catch (...) {
@@ -50,8 +60,9 @@ struct Job {
         cv.notify_all();
       }
     }
-    t_in_parallel_region = prev;
   }
+
+  size_t Claim() { return next.fetch_add(1, std::memory_order_relaxed); }
 
   void Wait() {
     std::unique_lock<std::mutex> lock(mu);
@@ -196,6 +207,11 @@ void SetNumThreads(int n) {
 
 bool InParallelRegion() { return t_in_parallel_region; }
 
+void RunInline(const std::function<void()>& fn) {
+  RegionMark mark;
+  fn();
+}
+
 void ParallelForGrain(size_t n, size_t grain, const std::function<void(size_t)>& fn) {
   if (n == 0) {
     return;
@@ -209,17 +225,10 @@ void ParallelForGrain(size_t n, size_t grain, const std::function<void(size_t)>&
   // Serial fast path: one thread, a single chunk, or a nested loop (workers
   // must not block on a job their own pool has to finish).
   if (pool == nullptr || threads <= 1 || num_chunks <= 1 || InParallelRegion()) {
-    bool prev = t_in_parallel_region;
-    t_in_parallel_region = true;
-    try {
-      for (size_t i = 0; i < n; ++i) {
-        fn(i);
-      }
-    } catch (...) {
-      t_in_parallel_region = prev;
-      throw;
+    RegionMark mark;
+    for (size_t i = 0; i < n; ++i) {
+      fn(i);
     }
-    t_in_parallel_region = prev;
     return;
   }
   if (obs::Enabled()) {
@@ -239,8 +248,12 @@ void ParallelForGrain(size_t n, size_t grain, const std::function<void(size_t)>&
   };
   int helpers = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(pool->workers()), num_chunks - 1));
+  // The caller claims chunk 0 before waking any helper, so chunk 0 always
+  // runs on the calling thread (and allocates from its malloc arena), however
+  // fast a helper wakes.
+  job->next.store(1, std::memory_order_relaxed);
   pool->Submit(job, helpers);
-  job->RunChunks();  // caller participates
+  job->RunChunks(/*holds_first=*/true);
   job->Wait();
   if (job->error) {
     std::rethrow_exception(job->error);

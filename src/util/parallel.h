@@ -37,11 +37,19 @@ void SetNumThreads(int n);
 // to run nested parallel constructs inline instead of deadlocking the pool.
 bool InParallelRegion();
 
+// Runs fn on the calling thread as if nested in a parallel loop, so every
+// parallel loop inside it runs inline and takes no pool thread. For
+// background work that must not compete with other callers for the pool.
+void RunInline(const std::function<void()>& fn);
+
 // Invokes fn(i) for every i in [0, n), splitting the range into chunks of at
 // least `grain` iterations. The calling thread participates, so the loop
 // costs nothing extra at NumThreads() == 1. The first exception thrown by fn
 // is rethrown on the calling thread after all chunks finish; fn must be safe
-// to invoke concurrently for distinct i.
+// to invoke concurrently for distinct i. Chunks are claimed in index order,
+// so a chunk starts only after every lower chunk has started (the serial
+// path runs them in order): a chunk may wait on a lower one, never on a
+// higher one. The calling thread always runs chunk 0.
 void ParallelForGrain(size_t n, size_t grain, const std::function<void(size_t)>& fn);
 
 // ParallelForGrain with an automatic grain (~4 chunks per thread).

@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,39 +23,17 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  // Lemire's multiply-shift rejection method.
-  uint64_t x = NextU64();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < bound) {
-    uint64_t t = -bound % bound;
-    while (l < t) {
-      x = NextU64();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-      l = static_cast<uint64_t>(m);
-    }
+__uint128_t Rng::RejectBelowThreshold(__uint128_t m, uint64_t bound) {
+  const uint64_t t = -bound % bound;
+  while (static_cast<uint64_t>(m) < t) {
+    m = static_cast<__uint128_t>(NextU64()) * static_cast<__uint128_t>(bound);
   }
-  return static_cast<uint64_t>(m >> 64);
+  return m;
 }
 
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(NextBounded(static_cast<uint64_t>(hi - lo + 1)));
 }
-
-double Rng::NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
 double Rng::NextGaussian(double stddev) {
   double u1 = NextDouble();
@@ -67,8 +43,6 @@ double Rng::NextGaussian(double stddev) {
   }
   return stddev * std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
-
-bool Rng::NextBool(double p_true) { return NextDouble() < p_true; }
 
 size_t Rng::NextWeighted(const std::vector<double>& weights) {
   double total = std::accumulate(weights.begin(), weights.end(), 0.0);
@@ -105,18 +79,52 @@ ZipfSampler::ZipfSampler(size_t n, double s) {
   for (auto& v : cdf_) {
     v /= acc;
   }
+  // A finite positive total makes the CDF non-decreasing; otherwise (a NaN
+  // exponent) there is no order to guide a search by. Ranks are kept as
+  // 32-bit values.
+  const size_t buckets = n / 16;
+  if (buckets == 0 || !std::isfinite(acc) || !(acc > 0.0) || n - 1 > UINT32_MAX) {
+    return;
+  }
+  guide_.resize(buckets + 1);
+  size_t rank = 0;
+  for (size_t k = 0; k <= buckets; ++k) {
+    const double edge = static_cast<double>(k) / static_cast<double>(buckets);
+    while (rank < n - 1 && cdf_[rank] < edge) {
+      ++rank;
+    }
+    guide_[k] = static_cast<uint32_t>(rank);
+  }
 }
 
-size_t ZipfSampler::Sample(Rng& rng) const {
-  double r = rng.NextDouble();
+size_t ZipfSampler::Rank(double u) const {
   if (cdf_.empty()) {
     return 0;
   }
+  const size_t last = cdf_.size() - 1;
   size_t lo = 0;
-  size_t hi = cdf_.size() - 1;
+  size_t hi = last;
+  if (!guide_.empty()) {
+    const size_t buckets = guide_.size() - 1;
+    const double scaled = u * static_cast<double>(buckets);
+    const size_t k = !(scaled > 0.0)                         ? 0
+                     : scaled < static_cast<double>(buckets) ? static_cast<size_t>(scaled)
+                                                             : buckets - 1;
+    lo = guide_[k];
+    hi = guide_[k + 1];
+    // The bucket is computed in floating point and the edges were rounded, so
+    // widen the bracket until it provably holds the answer:
+    // cdf[lo - 1] < u <= cdf[hi] (or lo == 0, or hi == last).
+    while (lo > 0 && !(cdf_[lo - 1] < u)) {
+      --lo;
+    }
+    while (hi < last && cdf_[hi] < u) {
+      ++hi;
+    }
+  }
   while (lo < hi) {
     size_t mid = (lo + hi) / 2;
-    if (cdf_[mid] < r) {
+    if (cdf_[mid] < u) {
       lo = mid + 1;
     } else {
       hi = mid;

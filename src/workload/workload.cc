@@ -102,26 +102,38 @@ Packet MakeFlowPacket(const WorkloadSpec& spec, uint32_t flow_id, Rng& rng) {
   return p;
 }
 
-Trace GenerateTrace(const WorkloadSpec& spec, size_t n_packets) {
-  Trace t;
-  t.spec = spec;
-  t.packets.reserve(n_packets);
-  Rng rng(spec.seed);
-  const bool uniform = spec.zipf_s <= 0.0;
-  std::shared_ptr<const ZipfSampler> zipf =
-      uniform ? nullptr : SharedZipfSampler(spec.num_flows, std::max(spec.zipf_s, 1e-6));
-  uint64_t ts = 0;
-  for (size_t i = 0; i < n_packets; ++i) {
-    uint32_t flow = uniform ? static_cast<uint32_t>(rng.NextBounded(spec.num_flows))
-                            : static_cast<uint32_t>(zipf->Sample(rng));
-    Packet p = MakeFlowPacket(spec, flow, rng);
-    if (p.ip_proto == kProtoTcp && rng.NextBool(spec.syn_ratio)) {
+TraceGenerator::TraceGenerator(const WorkloadSpec& spec)
+    : spec_(spec),
+      rng_(spec.seed),
+      zipf_(spec.zipf_s <= 0.0
+                ? nullptr
+                : SharedZipfSampler(spec.num_flows, std::max(spec.zipf_s, 1e-6))) {}
+
+void TraceGenerator::Fill(Packet* out, size_t n) {
+  // Draw from a local copy: its state never escapes this loop, so the
+  // compiler keeps it in registers across the ~69 draws of each packet.
+  Rng rng = rng_;
+  uint64_t ts = ts_ns_;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t flow = zipf_ == nullptr ? static_cast<uint32_t>(rng.NextBounded(spec_.num_flows))
+                                     : static_cast<uint32_t>(zipf_->Sample(rng));
+    Packet p = MakeFlowPacket(spec_, flow, rng);
+    if (p.ip_proto == kProtoTcp && rng.NextBool(spec_.syn_ratio)) {
       p.tcp_flags = kTcpSyn;
     }
     ts += 300 + rng.NextBounded(200);  // ~3 Mpps offered inter-arrival, ns
     p.ts_ns = ts;
-    t.packets.push_back(p);
+    out[i] = p;
   }
+  rng_ = rng;
+  ts_ns_ = ts;
+}
+
+Trace GenerateTrace(const WorkloadSpec& spec, size_t n_packets) {
+  Trace t;
+  t.spec = spec;
+  t.packets.resize(n_packets);
+  TraceGenerator(spec).Fill(t.packets.data(), n_packets);
   return t;
 }
 

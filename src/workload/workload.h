@@ -3,11 +3,15 @@
 // A WorkloadSpec captures the knobs the paper sweeps: number of concurrent
 // flows, flow-popularity skew (Zipf), packet sizes, protocol mix, and the
 // fraction of flow-starting (SYN) packets. GenerateTrace materializes a
-// deterministic packet trace for interpreter profiling and simulator input.
+// deterministic packet trace for interpreter profiling and simulator input;
+// TraceGenerator produces the same packets piece by piece, so a consumer can
+// start on the first packets while later ones are still being generated.
 #ifndef SRC_WORKLOAD_WORKLOAD_H_
 #define SRC_WORKLOAD_WORKLOAD_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +39,23 @@ struct WorkloadSpec {
 struct Trace {
   WorkloadSpec spec;
   std::vector<Packet> packets;
+};
+
+// One deterministic packet stream for `spec`. Successive Fill calls continue
+// the stream, so filling n packets in pieces of any sizes writes the packets
+// GenerateTrace(spec, n) returns, byte for byte.
+class TraceGenerator {
+ public:
+  explicit TraceGenerator(const WorkloadSpec& spec);
+
+  // Writes the stream's next `n` packets to out[0, n).
+  void Fill(Packet* out, size_t n);
+
+ private:
+  WorkloadSpec spec_;
+  Rng rng_;
+  std::shared_ptr<const ZipfSampler> zipf_;  // null: uniform flow popularity
+  uint64_t ts_ns_ = 0;
 };
 
 // Deterministically expands `spec` into `n_packets` packets. Flow tuples are

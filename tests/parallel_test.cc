@@ -1,16 +1,21 @@
 // Tests for the parallel substrate (src/util/parallel.h): pool correctness,
 // exception propagation, nested-loop safety, and the determinism contract —
-// training results must be bit-identical at any thread count.
+// training results and insights must be bit-identical at any thread count.
 #include "src/util/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "src/core/analyzer.h"
 #include "src/core/predictor.h"
 #include "src/elements/elements.h"
 #include "src/lang/lower.h"
@@ -110,6 +115,48 @@ TEST(ParallelForTest, NestedLoopsRunInlineWithoutDeadlock) {
   for (size_t k = 0; k < hits.size(); ++k) {
     ASSERT_EQ(hits[k].load(), 1) << "slot " << k;
   }
+  EXPECT_FALSE(InParallelRegion());
+}
+
+// Analyze keeps its allocating stages in chunk 0 so they stay in the
+// caller's malloc arena: a helper that wakes fast must never take chunk 0.
+// Helpers that slept a while are the ones a wake-up lets run first, so each
+// round starts after a short sleep.
+TEST(ParallelForTest, CallerAlwaysRunsChunkZero) {
+  ThreadGuard guard;
+  SetNumThreads(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  int elsewhere = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    std::thread::id ran_chunk0;
+    ParallelForGrain(3, 1, [&](size_t i) {
+      if (i == 0) {
+        ran_chunk0 = std::this_thread::get_id();
+      }
+    });
+    elsewhere += ran_chunk0 != caller;
+  }
+  EXPECT_EQ(elsewhere, 0);
+}
+
+TEST(ParallelForTest, RunInlineKeepsNestedLoopsOnTheCaller) {
+  ThreadGuard guard;
+  SetNumThreads(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  RunInline([&] {
+    EXPECT_TRUE(InParallelRegion());
+    ParallelForGrain(64, 1, [&](size_t) {
+      if (std::this_thread::get_id() != caller) {
+        elsewhere.fetch_add(1);
+      }
+    });
+  });
+  EXPECT_EQ(elsewhere.load(), 0);
+  EXPECT_FALSE(InParallelRegion());
+  // The region mark is restored on the throwing path too.
+  EXPECT_THROW(RunInline([] { throw std::runtime_error("boom"); }), std::runtime_error);
   EXPECT_FALSE(InParallelRegion());
 }
 
@@ -299,6 +346,174 @@ TEST(SharedZipfTableTest, ParallelTracesEqualSerialTraces) {
       ASSERT_EQ(got[i], serial[i % specs.size()])
           << "threads " << threads << ", spec " << i % specs.size();
     }
+  }
+}
+
+// ---- ClaraAnalyzer::Analyze overlaps prediction with profiling ----
+
+// A small trained analyzer, built once per process. 1000 profile packets
+// make seven full 128-packet chunks and a partial eighth.
+const ClaraAnalyzer& SmallAnalyzer() {
+  static const ClaraAnalyzer* analyzer = [] {
+    AnalyzerOptions options;
+    options.predictor.train_programs = 24;
+    options.predictor.lstm.epochs = 2;
+    options.scaleout.train_programs = 16;
+    options.colocation.train_nfs = 8;
+    options.colocation.train_groups = 16;
+    options.algo_corpus_per_class = 6;
+    options.profile_packets = 1000;
+    auto* a = new ClaraAnalyzer(options);
+    std::vector<Program> corpus;
+    for (const auto& info : ElementRegistry()) {
+      corpus.push_back(info.make());
+    }
+    std::vector<const Program*> ptrs;
+    for (const auto& p : corpus) {
+      ptrs.push_back(&p);
+    }
+    a->Train(ptrs);
+    return a;
+  }();
+  return *analyzer;
+}
+
+// Every field of `in`: numbers as their bit patterns, strings byte by byte.
+// PlacementResult::solve_seconds is wall time and is left out.
+std::vector<uint64_t> InsightBits(const OffloadingInsights& in) {
+  std::vector<uint64_t> out;
+  auto num = [&](double v) { out.push_back(std::bit_cast<uint64_t>(v)); };
+  auto text = [&](std::string_view s) {
+    out.push_back(s.size());
+    out.insert(out.end(), s.begin(), s.end());
+  };
+  text(in.nf_name);
+  out.push_back(in.prediction.blocks.size());
+  for (const BlockPrediction& b : in.prediction.blocks) {
+    num(b.compute);
+    out.insert(out.end(), {b.mem_state, b.mem_stateless, b.api_calls});
+  }
+  num(in.prediction.total_compute);
+  out.push_back(in.prediction.total_mem_state);
+  out.push_back(static_cast<uint64_t>(in.accelerator));
+  out.push_back(static_cast<uint64_t>(in.suggested_cores));
+  out.push_back(in.placement.ok);
+  for (const auto& [var, region] : in.placement.placement) {
+    text(var);
+    out.push_back(static_cast<uint64_t>(region));
+  }
+  num(in.placement.ilp_objective);
+  out.push_back(in.placement.ilp_nodes);
+  for (const VarPack& pack : in.coalescing.packs) {
+    for (const std::string& var : pack.vars) {
+      text(var);
+    }
+    out.push_back(static_cast<uint64_t>(pack.pack_bytes));
+  }
+  for (const auto& [var, effect] : in.coalescing.effects) {
+    text(var);
+    num(effect.access_scale);
+    num(effect.words_scale);
+  }
+  out.push_back(static_cast<uint64_t>(in.coalescing.clusters_considered));
+  for (const PerfPoint* perf : {&in.naive_perf, &in.tuned_perf}) {
+    num(perf->throughput_mpps);
+    num(perf->latency_us);
+    out.push_back(static_cast<uint64_t>(perf->bottleneck));
+    const PerfBreakdown& b = perf->breakdown;
+    for (int r = 0; r < kNumMemRegions; ++r) {
+      num(b.region_rho[r]);
+      num(b.region_latency_cycles[r]);
+      out.push_back(b.region_used[r]);
+    }
+    num(b.cache_rho);
+    num(b.cache_latency_cycles);
+    out.push_back(b.cache_used);
+    num(b.pkt_rho);
+    num(b.pkt_latency_cycles);
+    out.push_back(b.pkt_used);
+    num(b.core_rho);
+    num(b.compute_cycles);
+    num(b.mem_cycles);
+    text(b.bound_resource);
+    num(b.bound_rho);
+  }
+  return out;
+}
+
+struct Answer {
+  std::string text;
+  std::vector<uint64_t> bits;
+};
+
+Answer AnalyzeElement(const std::string& name, const WorkloadSpec& workload) {
+  const ClaraAnalyzer& analyzer = SmallAnalyzer();
+  OffloadingInsights in = analyzer.Analyze(MakeElementByName(name), workload);
+  return Answer{in.ToString(analyzer.perf_model().config()), InsightBits(in)};
+}
+
+// Analyze runs prediction, classification and the compile beside a trace
+// producer and an interpreting consumer. Every registry element, on both
+// presets, must get the serial answer bit for bit at every thread count.
+TEST(DeterminismTest, AnalyzeBitIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  const WorkloadSpec presets[] = {WorkloadSpec::SmallFlows(), WorkloadSpec::LargeFlows()};
+  SetNumThreads(1);
+  std::vector<Answer> serial;
+  for (const auto& info : ElementRegistry()) {
+    for (const WorkloadSpec& workload : presets) {
+      serial.push_back(AnalyzeElement(info.name, workload));
+    }
+  }
+  for (int threads : {1, 2, 8}) {
+    SetNumThreads(threads);
+    size_t i = 0;
+    for (const auto& info : ElementRegistry()) {
+      for (const WorkloadSpec& workload : presets) {
+        Answer got = AnalyzeElement(info.name, workload);
+        EXPECT_EQ(got.text, serial[i].text) << info.name << ", " << threads << " threads";
+        EXPECT_EQ(got.bits, serial[i].bits) << info.name << ", " << workload.name << ", "
+                                            << threads << " threads";
+        ++i;
+      }
+    }
+  }
+}
+
+// The serve engine's dispatcher and a reload's canary can analyze at the same
+// time, and each call's three tasks then compete for one pool. Two threads
+// analyzing at once on one analyzer must both get the serial answers.
+TEST(DeterminismTest, ConcurrentAnalyzeCallsGetSerialAnswers) {
+  ThreadGuard guard;
+  const std::vector<std::string> names = {"aggcounter", "mazunat", "heavyhitter",
+                                          "iplookup",   "dpi",     "cmsketch"};
+  const WorkloadSpec presets[] = {WorkloadSpec::SmallFlows(), WorkloadSpec::LargeFlows()};
+  SetNumThreads(1);
+  std::vector<Answer> serial;
+  for (const std::string& name : names) {
+    for (const WorkloadSpec& workload : presets) {
+      serial.push_back(AnalyzeElement(name, workload));
+    }
+  }
+  SetNumThreads(4);
+  // Each thread walks the cases from its own end, so the two calls in flight
+  // analyze different NFs most of the time.
+  std::vector<Answer> forward(serial.size());
+  std::vector<Answer> backward(serial.size());
+  auto run = [&](std::vector<Answer>* out, bool reverse) {
+    for (size_t k = 0; k < serial.size(); ++k) {
+      size_t i = reverse ? serial.size() - 1 - k : k;
+      (*out)[i] = AnalyzeElement(names[i / 2], presets[i % 2]);
+    }
+  };
+  std::thread other(run, &backward, true);
+  run(&forward, false);
+  other.join();
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(forward[i].text, serial[i].text) << names[i / 2];
+    EXPECT_EQ(forward[i].bits, serial[i].bits) << names[i / 2] << " preset " << i % 2;
+    EXPECT_EQ(backward[i].text, serial[i].text) << names[i / 2];
+    EXPECT_EQ(backward[i].bits, serial[i].bits) << names[i / 2] << " preset " << i % 2;
   }
 }
 

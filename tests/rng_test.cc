@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace clara {
 namespace {
@@ -125,6 +129,52 @@ TEST(ZipfSampler, CoversSupport) {
     seen.insert(zipf.Sample(rng));
   }
   EXPECT_EQ(seen.size(), 4u);
+}
+
+// What ZipfSampler::Rank must return: a plain lower bound over the whole
+// CDF, or the last rank when every entry is below `u`.
+size_t PlainLowerBound(const std::vector<double>& cdf, double u) {
+  size_t i = static_cast<size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  return std::min(i, cdf.size() - 1);
+}
+
+const std::pair<size_t, double> kZipfShapes[] = {
+    {65536, 0.4}, {64, 1.1}, {1000, 1.2}, {4, 0.5}, {1, 1.0}};
+
+TEST(ZipfSampler, SampleEqualsPlainLowerBound) {
+  for (auto [n, s] : kZipfShapes) {
+    ZipfSampler zipf(n, s);
+    Rng sampled(n * 7919 + 1);
+    Rng drawn = sampled;  // the same stream, read as raw doubles
+    for (int i = 0; i < 1000000; ++i) {
+      size_t want = PlainLowerBound(zipf.cdf(), drawn.NextDouble());
+      ASSERT_EQ(zipf.Sample(sampled), want) << "n " << n << ", s " << s << ", draw " << i;
+    }
+  }
+}
+
+// The guide table's bucket edges and the CDF's own values are where a search
+// bracket that is one entry short would return a neighbouring rank.
+TEST(ZipfSampler, RankEqualsPlainLowerBoundAtEveryBoundary) {
+  for (auto [n, s] : kZipfShapes) {
+    ZipfSampler zipf(n, s);
+    const size_t buckets = zipf.guide_buckets();
+    EXPECT_EQ(buckets, n / 16) << "n " << n;
+    std::vector<double> points = {0.0, 1.0};
+    for (size_t k = 0; k <= buckets && buckets > 0; ++k) {
+      points.push_back(static_cast<double>(k) / static_cast<double>(buckets));
+    }
+    points.insert(points.end(), zipf.cdf().begin(), zipf.cdf().end());
+    for (double r : points) {
+      for (double u : {std::nextafter(r, 0.0), r, std::nextafter(r, 2.0)}) {
+        if (u < 0.0 || u >= 1.0) {
+          continue;  // outside NextDouble's range
+        }
+        ASSERT_EQ(zipf.Rank(u), PlainLowerBound(zipf.cdf(), u))
+            << "n " << n << ", s " << s << ", u " << u;
+      }
+    }
+  }
 }
 
 }  // namespace

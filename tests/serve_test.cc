@@ -1011,6 +1011,20 @@ TEST(Engine, ResponsesCarryLatencyBreakdowns) {
   EXPECT_EQ(serve::EncodeResponseBody(miss), serve::EncodeResponseBody(hit));
 }
 
+// Inference runs inside the analysis, beside the profiling, so a miss's
+// serve.infer stage is nonzero and lies within its serve.analyze stage.
+TEST(Engine, MissReportsInferenceInsideAnalysis) {
+  serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
+  for (const char* name : {"aggcounter", "mazunat", "iplookup"}) {
+    serve::InsightResponse miss = engine.Handle(ElementRequest(1, name));
+    ASSERT_EQ(miss.error, serve::ErrorCode::kOk) << miss.error_message;
+    ASSERT_TRUE(miss.breakdown.valid);
+    ASSERT_FALSE(miss.breakdown.cache_hit);
+    EXPECT_GT(miss.breakdown.infer_us, 0u) << name;
+    EXPECT_LE(miss.breakdown.infer_us, miss.breakdown.analyze_us) << name;
+  }
+}
+
 TEST(Engine, ControlPlaneAnswersStatsHealthDump) {
   serve::ServeEngine engine(ReloadedBundle(), FastServeOptions());
   serve::InsightResponse resp = engine.Handle(ElementRequest(1, "aggcounter"));

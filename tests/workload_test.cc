@@ -2,11 +2,110 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 
 namespace clara {
 namespace {
+
+// FNV-1a over every field of every packet, each folded as its 8
+// little-endian bytes.
+uint64_t TraceDigest(const std::vector<Packet>& packets) {
+  uint64_t h = 14695981039346656037ULL;
+  auto add = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ULL;
+    }
+  };
+  add(packets.size());
+  for (const Packet& p : packets) {
+    for (uint64_t v : {uint64_t{p.eth_type}, uint64_t{p.ip_ihl}, uint64_t{p.ip_tos},
+                       uint64_t{p.ip_len}, uint64_t{p.ip_ttl}, uint64_t{p.ip_proto},
+                       uint64_t{p.ip_checksum}, uint64_t{p.src_ip}, uint64_t{p.dst_ip},
+                       uint64_t{p.sport}, uint64_t{p.dport}, uint64_t{p.tcp_seq},
+                       uint64_t{p.tcp_ack}, uint64_t{p.tcp_off}, uint64_t{p.tcp_flags},
+                       uint64_t{p.l4_checksum}, uint64_t{p.payload_len}, p.ts_ns,
+                       uint64_t{p.in_port}, uint64_t{p.wire_len},
+                       static_cast<uint64_t>(p.verdict), uint64_t{p.out_port}}) {
+      add(v);
+    }
+    for (uint8_t b : p.payload) {
+      add(b);
+    }
+  }
+  return h;
+}
+
+// The four specs the golden digests cover: both presets, uniform flow
+// popularity, and a UDP mix.
+std::array<WorkloadSpec, 4> GoldenSpecs() {
+  WorkloadSpec uniform;
+  uniform.name = "uniform";
+  uniform.zipf_s = 0.0;
+  WorkloadSpec udp_mix;
+  udp_mix.name = "udp-mix";
+  udp_mix.num_flows = 4096;
+  udp_mix.zipf_s = 0.9;
+  udp_mix.udp_fraction = 0.3;
+  udp_mix.pkt_size = 96;
+  return {WorkloadSpec::SmallFlows(), WorkloadSpec::LargeFlows(), uniform, udp_mix};
+}
+
+constexpr uint64_t kGoldenSeeds[] = {42, 7, 20260423};
+
+// Digests of 2000-packet traces, recorded before GenerateTrace kept its
+// generator in registers and narrowed the Zipf search with a guide table:
+// [spec][seed], specs in GoldenSpecs() order, seeds in kGoldenSeeds order.
+constexpr uint64_t kGoldenTraceDigests[4][3] = {
+    {0x6668799f4e64acc9, 0x5d7bcc904f01b55c, 0x645932f0c4e02d67},
+    {0x4ac3564d6a0f4676, 0x5df761f7fa134671, 0x5424854c4366ebf4},
+    {0xa29bf33acec626e1, 0xf3b0b605d11f8a4f, 0x6e7dc7f43f8ab35f},
+    {0x8fdd841f24aac3c2, 0xc0e214b9a99e66ef, 0x31626565a8dfbe16},
+};
+
+TEST(Workload, TracesMatchGoldenDigests) {
+  std::array<WorkloadSpec, 4> specs = GoldenSpecs();
+  std::string table;
+  bool all_match = true;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    table += "    {";
+    for (size_t j = 0; j < 3; ++j) {
+      WorkloadSpec spec = specs[i];
+      spec.seed = kGoldenSeeds[j];
+      uint64_t got = TraceDigest(GenerateTrace(spec, 2000).packets);
+      all_match &= got == kGoldenTraceDigests[i][j];
+      char hex[24];
+      std::snprintf(hex, sizeof(hex), "0x%016llx", static_cast<unsigned long long>(got));
+      table += std::string(j > 0 ? ", " : "") + hex;
+    }
+    table += "},\n";
+  }
+  EXPECT_TRUE(all_match) << "computed:\n" << table;
+}
+
+// A TraceGenerator continues one stream across Fill calls, so pieces of any
+// size concatenate to the single GenerateTrace.
+TEST(Workload, FillInPiecesEqualsOneTrace) {
+  constexpr size_t kPackets = 2000;
+  for (WorkloadSpec spec : GoldenSpecs()) {
+    for (uint64_t seed : kGoldenSeeds) {
+      spec.seed = seed;
+      std::vector<Packet> pieces(kPackets);
+      TraceGenerator generator(spec);
+      size_t filled = 0;
+      for (size_t piece : {size_t{1}, size_t{127}, size_t{1000}, kPackets - 1128}) {
+        generator.Fill(pieces.data() + filled, piece);
+        filled += piece;
+      }
+      ASSERT_EQ(filled, kPackets);
+      EXPECT_EQ(TraceDigest(pieces), TraceDigest(GenerateTrace(spec, kPackets).packets))
+          << spec.name << ", seed " << seed;
+    }
+  }
+}
 
 TEST(Workload, DeterministicForSameSeed) {
   WorkloadSpec spec;
